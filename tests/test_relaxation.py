@@ -6,6 +6,7 @@ from arelax.graph import InputNode, build, forward
 from arelax.harness import node_rel_errors, random_case, random_chain_spec, rel_error, skip_dag_spec
 from arelax.oracle import backprop, loss_mse
 from arelax.relaxation import (
+    DIVERGENCE_LIMIT,
     ARConfig,
     DivergenceError,
     apply_updates,
@@ -15,7 +16,7 @@ from arelax.relaxation import (
     run_relaxation,
     weight_update,
 )
-from arelax.tensor import Rng
+from arelax.tensor import NonFiniteError, Rng
 
 
 def scalar_chain():
@@ -31,6 +32,77 @@ def random_mlp(seed: int, batch: int = 4):
     g = build(random_chain_spec(rng, max_depth=4, max_width=16), rng)
     x, t = random_case(g, rng, batch)
     return g, x, t
+
+
+def spec_case(spec, seed: int, batch: int):
+    rng = Rng(seed)
+    g = build(spec, rng)
+    x, t = random_case(g, rng, batch)
+    return g, x, t
+
+
+# conv -> conv -> maxpool -> flatten -> dense: every spatial transport
+CONV_POOL_SPEC = [
+    {"kind": "input", "shape": (2, 10, 10)},
+    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
+    {"kind": "conv", "out_channels": 4, "kernel": 3, "activation": "tanh"},
+    {"kind": "maxpool"},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 4, "activation": "linear"},
+]
+
+# an add node with the input as one of its parents
+ADD_FROM_INPUT_SPEC = [
+    {"kind": "input", "shape": (6,)},
+    {"kind": "dense", "units": 6, "activation": "tanh"},
+    {"kind": "add", "parents": [0, 1]},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
+
+GRAPHS = {
+    "chain_a": lambda: random_mlp(80),
+    "chain_b": lambda: random_mlp(81),
+    "conv_pool": lambda: spec_case(CONV_POOL_SPEC, 32, 3),
+    "skip_dag": lambda: spec_case(skip_dag_spec(width=8, class_count=4), 30, 4),
+    "add_from_input": lambda: spec_case(ADD_FROM_INPUT_SPEC, 33, 4),
+}
+
+
+def longest_relaxing_path(g) -> int:
+    """Edges on the longest path that avoids the input node."""
+    depth = {}
+    for j in g.topo_order:
+        if not isinstance(g.nodes[j], InputNode):
+            depth[j] = max([depth[p] + 1 for p in g.parent_ids[j] if p in depth], default=0)
+    return max(depth.values())
+
+
+def step_by_step(g, acts, t, cfg):
+    """The reference engine: relax_step n_iters times from init_state."""
+    s = init_state(g, acts, t, cfg)
+    for it in range(cfg.n_iters):
+        relax_step(g, s, cfg, t, iteration=it)
+    return s
+
+
+def assert_engines_agree(g, acts, t, cfg, tol=1e-12):
+    got = run_relaxation(g, acts, t, cfg)
+    want = step_by_step(g, acts, t, cfg)
+    where = f"T={cfg.n_iters} eta_x={cfg.eta_x}"
+    for i in range(len(g.nodes)):
+        assert rel_error(got.x[i], want.x[i]) <= tol, f"node {i}, {where}"
+    # max|dx| is a difference of activities, so its rounding floor is set by
+    # the activities' scale, not by its own size (it reaches 0 at convergence)
+    scale = max(want.last_max_dx, max(float(np.max(np.abs(a))) for a in want.x))
+    assert abs(got.last_max_dx - want.last_max_dx) <= tol * scale, where
+    wg, ww = weight_update(g, got, cfg), weight_update(g, want, cfg)
+    for j in ww:
+        assert rel_error(wg[j], ww[j]) <= tol, f"weight {j}, {where}"
+    if cfg.backwards_mode == "learned_psi":
+        pg, pw = psi_update(g, got, cfg), psi_update(g, want, cfg)
+        assert pg.keys() == pw.keys()
+        for j in pw:
+            assert rel_error(pg[j], pw[j]) <= tol, f"psi {j}, {where}"
 
 
 class TestARConfig:
@@ -131,6 +203,108 @@ class TestRelaxStep:
             run_relaxation(g, acts, [[0.0]], ARConfig(n_iters=200))
         assert exc.value.node >= 1
         assert exc.value.iteration >= 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10 * DIVERGENCE_LIMIT])
+    def test_guard_trips_on_nonfinite_or_large_activity(self, bad):
+        g, x, t = random_mlp(4)
+        acts = forward(g, x)
+        cfg = ARConfig()
+        s = init_state(g, acts, t, cfg)
+        first = g.children(g.input)[0]      # earliest guarded node
+        s.x[first][0, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
+            relax_step(g, s, cfg, t, iteration=7)
+        assert (exc.value.node, exc.value.iteration) == (first, 7)
+
+
+class TestClosedForm:
+    """run_relaxation's closed-form engine against the step-by-step engine."""
+
+    @pytest.mark.parametrize("eta_x", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_matches_step_by_step_at_every_budget(self, graph, eta_x):
+        g, x, t = GRAPHS[graph]()
+        acts = forward(g, x)
+        d = longest_relaxing_path(g)
+        for n_iters in sorted({1, 2, d, d + 1, 50, 100, 500}):
+            assert_engines_agree(g, acts, t, ARConfig(eta_x=eta_x, n_iters=n_iters))
+
+    @pytest.mark.parametrize("variant", [
+        {"backwards_mode": "learned_psi"},
+        {"backwards_mode": "learned_psi", "backwards_scope": "conv"},
+        {"backwards_mode": "learned_psi", "backwards_scope": "dense"},
+        {"nonlinearity_mode": "dropped"},
+        {"nonlinearity_mode": "dropped", "nonlinearity_scope": "conv"},
+        {"unfreeze_weight_deriv": True},
+        {"unfreeze_weight_activity": True},
+        {"unfreeze_weight_deriv": True, "unfreeze_weight_activity": True,
+         "backwards_mode": "learned_psi", "nonlinearity_mode": "dropped"},
+    ])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_matches_step_by_step_on_variants(self, graph, variant):
+        g, x, t = GRAPHS[graph]()
+        acts = forward(g, x)
+        d = longest_relaxing_path(g)
+        for eta_x, n_iters in [(0.1, d + 1), (0.1, 100), (0.5, 50)]:
+            assert_engines_agree(g, acts, t, ARConfig(eta_x=eta_x, n_iters=n_iters, **variant))
+
+    @pytest.mark.parametrize("variant, steps", [
+        ({}, 1),
+        ({"backwards_mode": "learned_psi"}, 1),
+        ({"nonlinearity_mode": "dropped"}, 1),
+        ({"unfreeze_weight_deriv": True, "unfreeze_weight_activity": True}, 1),
+        ({"unfreeze_relax_deriv": True}, 37),
+        ({"unfreeze_relax_deriv": True, "unfreeze_weight_deriv": True}, 37),
+    ])
+    def test_engine_choice(self, monkeypatch, variant, steps):
+        iterations = []
+        reference = relaxation.relax_step
+
+        def counting(*args, **kwargs):
+            iterations.append(kwargs["iteration"])
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(relaxation, "relax_step", counting)
+        g, x, t = random_mlp(82)
+        run_relaxation(g, forward(g, x), t, ARConfig(n_iters=37, **variant))
+        assert iterations == list(range(37 - steps, 37))
+
+    def test_overflowing_sweep_is_a_divergence(self):
+        # the forward sweep stays finite, the transports overflow to inf
+        spec = [{"kind": "input", "shape": (1,)}]
+        for _ in range(3):
+            spec.append({"kind": "dense", "units": 1, "activation": "linear",
+                         "weight": [[1e100]], "psi": [[1.0]]})
+        g = build(spec)
+        acts = forward(g, [[1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+            run_relaxation(g, acts, [[0.0]], ARConfig(n_iters=50))
+        assert exc.value.iteration == 49
+
+    def test_nonfinite_transport_in_sweep_is_a_divergence(self, monkeypatch):
+        def failing(g, s, cfg, j):
+            raise NonFiniteError("matmul produced non-finite values")
+
+        steps = []
+        monkeypatch.setattr(relaxation, "_transport", failing)
+        monkeypatch.setattr(relaxation, "relax_step", lambda *a, **kw: steps.append(kw["iteration"]))
+        g, x, t = random_mlp(83)
+        with pytest.raises(DivergenceError, match="non-finite") as exc:
+            run_relaxation(g, forward(g, x), t, ARConfig(n_iters=40))
+        assert (exc.value.node, exc.value.iteration) == (g.output, 39)
+        assert steps == []      # raised inside a Horner sweep
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_no_transport_into_the_input(self, graph):
+        g, x, t = GRAPHS[graph]()
+        acts = forward(g, x)
+        cfg = ARConfig()
+        s = init_state(g, acts, t, cfg)
+        for j in g.topo_order:
+            if j == g.input:
+                continue
+            sent = [p for p, _ in relaxation._transport(g, s, cfg, j)]
+            assert sent == [p for p in g.parent_ids[j] if p != g.input]
 
 
 class TestConvergence:
