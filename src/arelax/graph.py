@@ -18,6 +18,17 @@ learned-backwards-weights mode can be switched on without rebuilding.
 
 Activation shapes are tracked per sample; at run time every activation
 carries a leading batch dimension.
+
+Each node kind but the input holds its own local math, so the sweep, the
+oracle's reverse mode and the relaxation transport share one definition:
+forward(acts, ps) reads the activations of the parents ps from the
+per-node list acts and returns (activation, saved), where saved is what
+forward already computed and the VJP reuses (see Sweep), and
+vjp(cotangent, saved) returns one cotangent per parent, in parent order.
+Dense and conv also have outer (the batch-summed parameter gradient) and
+mirror (the psi <-> W layout switch); their vjp takes the pre-activation
+cotangent and an optional back matrix in W's layout (W by default, or the
+mirrored psi).
 """
 
 from __future__ import annotations
@@ -40,39 +51,117 @@ class InputNode:
 
 
 @dataclass
-class DenseNode:
-    weight: Tensor          # (n_out, n_in)
+class _Parametric:
+    weight: Tensor
     activation: str         # "tanh" | "linear"
-    psi: Tensor             # (n_in, n_out), backwards parameters
+    psi: Tensor             # backwards parameters; mirror(psi) is in W's layout
+
+    def _activate(self, a: Tensor) -> Tensor:
+        return tensor.tanh(a) if self.activation == "tanh" else a
+
+    def fprime(self, out: Tensor) -> Tensor | None:
+        """f' at the pre-activation, from the node's output: for tanh,
+        1 - out^2, bit-identical to tensor.tanh_prime of the pre-activation
+        that gave out; None (identity) for linear."""
+        return 1.0 - out * out if self.activation == "tanh" else None
 
 
 @dataclass
-class ConvNode:
-    weight: Tensor          # (C_out, C_in, kH, kW)
-    activation: str
-    psi: Tensor             # same shape as weight
+class DenseNode(_Parametric):
+    """weight (n_out, n_in); psi (n_in, n_out), where W^T transports."""
+
+    def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+        x = acts[ps[0]]
+        return self._activate(tensor.matmul(x, self.weight.T)), x
+
+    def vjp(self, gz: Tensor, saved: Tensor, back: Tensor | None = None) -> list[Tensor]:
+        return [gz @ (self.weight if back is None else back)]
+
+    def outer(self, gz: Tensor, saved: Tensor) -> Tensor:
+        return gz.T @ saved
+
+    @staticmethod
+    def mirror(m: Tensor) -> Tensor:
+        return m.T
+
+
+@dataclass
+class ConvNode(_Parametric):
+    """weight (C_out, C_in, kH, kW); psi the same shape, since a kernel
+    transports through the transposed-convolution position unchanged."""
+
+    def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+        x = acts[ps[0]]
+        _, _, kh, kw = self.weight.shape
+        cols = tensor.im2col(x, kh, kw)
+        a = tensor.conv2d_cols(cols, self.weight, x.shape[2] - kh + 1, x.shape[3] - kw + 1)
+        return self._activate(a), cols
+
+    def vjp(self, gz: Tensor, saved: Tensor, back: Tensor | None = None) -> list[Tensor]:
+        co, ci, kh, kw = self.weight.shape
+        b, _, hp, wp = gz.shape
+        k = (self.weight if back is None else back).reshape(co, -1)
+        cols_grad = np.matmul(k.T[None], gz.reshape(b, co, -1))
+        return [tensor.col2im(cols_grad, ci, kh, kw, hp + kh - 1, wp + kw - 1)]
+
+    def outer(self, gz: Tensor, saved: Tensor) -> Tensor:
+        gz_flat = gz.reshape(gz.shape[0], self.weight.shape[0], -1)
+        return np.einsum("bop,bkp->ok", gz_flat, saved).reshape(self.weight.shape)
+
+    @staticmethod
+    def mirror(m: Tensor) -> Tensor:
+        return m
 
 
 @dataclass
 class MaxPoolNode:
-    pass
+    def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+        return tensor.maxpool2d(acts[ps[0]])    # (pooled, argmax map)
+
+    def vjp(self, g: Tensor, saved: Tensor) -> list[Tensor]:
+        _, _, h2, w2 = g.shape
+        return [tensor.maxpool2d_scatter(g, saved, 2 * h2, 2 * w2)]
 
 
 @dataclass
 class FlattenNode:
-    pass
+    in_shape: tuple[int, ...]   # the parent's per-sample shape
+
+    def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, None]:
+        x = acts[ps[0]]
+        return x.reshape(x.shape[0], -1), None
+
+    def vjp(self, g: Tensor, saved: None) -> list[Tensor]:
+        return [g.reshape(g.shape[0], *self.in_shape)]
 
 
 @dataclass
 class AddNode:
-    pass
+    arity: int
+
+    def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, None]:
+        out = acts[ps[0]]
+        for p in ps[1:]:
+            out = tensor.add(out, acts[p])
+        return out, None
+
+    def vjp(self, g: Tensor, saved: None) -> list[Tensor]:
+        return [g] * self.arity
 
 
 PARAMETRIC = (DenseNode, ConvNode)
 ACTIVATIONS = ("tanh", "linear")
 
-# Per-node activation tensors for one minibatch, indexed by node id.
-Activations = list[Tensor]
+
+class Sweep(list):
+    """One feedforward sweep: the per-node activations, indexed by node id,
+    and `saved`, per node, what its forward computed and its VJP reuses:
+    the input in GEMM layout (dense: the input itself, conv: its im2col
+    columns), the argmax map (maxpool), None elsewhere."""
+
+    def __init__(self, acts: list[Tensor], saved: list):
+        super().__init__(acts)
+        self.saved = saved
 
 
 @dataclass
@@ -120,11 +209,32 @@ def _toposort(n: int, parent_ids: list[tuple[int, ...]]) -> list[int]:
     return order
 
 
-def _init_uniform(rng: Rng | None, shape: tuple[int, ...], fan_in: int) -> Tensor:
+def _param(i: int, item: dict, key: str, shape: tuple[int, ...], fan_in: int, rng: Rng | None) -> Tensor:
+    """The descriptor's explicit `key` array, checked against shape, or a
+    uniform draw in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+    if key in item:
+        t = tensor.as_tensor(item[key])
+        if t.shape != shape:
+            raise GraphError(f"node {i}: explicit {key} shape {t.shape} != {shape}")
+        return t
     if rng is None:
         raise GraphError("an Rng is required to initialize parameters that are not given explicitly")
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(shape, -bound, bound)
+
+
+def _positive(i: int, name: str, value) -> int:
+    value = int(value)
+    if value < 1:
+        raise GraphError(f"node {i}: {name} must be positive, got {value}")
+    return value
+
+
+def _activation(i: int, item: dict) -> str:
+    act = item.get("activation", "tanh")
+    if act not in ACTIVATIONS:
+        raise GraphError(f"node {i}: unknown activation {act!r}")
+    return act
 
 
 def build(spec: list[dict], rng: Rng | None = None) -> Graph:
@@ -180,70 +290,41 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
             nodes[i] = InputNode(shape)
             shapes[i] = shape
             continue
+        if kind in ("dense", "conv", "maxpool", "flatten") and len(ps) != 1:
+            raise GraphError(f"node {i}: {kind} takes exactly one parent")
 
         if kind == "dense":
-            if len(ps) != 1:
-                raise GraphError(f"node {i}: dense takes exactly one parent")
             pshape = shapes[ps[0]]
             if len(pshape) != 1:
                 raise GraphError(
                     f"node {i}: dense needs a flat parent, got shape {pshape} (insert a flatten node)"
                 )
             n_in = pshape[0]
-            units = int(item["units"])
-            act = item.get("activation", "tanh")
-            if act not in ACTIVATIONS:
-                raise GraphError(f"node {i}: unknown activation {act!r}")
-            if "weight" in item:
-                w = tensor.as_tensor(item["weight"])
-                if w.shape != (units, n_in):
-                    raise GraphError(
-                        f"node {i}: explicit weight shape {w.shape} != ({units}, {n_in})"
-                    )
-            else:
-                w = _init_uniform(rng, (units, n_in), n_in)
-            if "psi" in item:
-                psi = tensor.as_tensor(item["psi"])
-                if psi.shape != (n_in, units):
-                    raise GraphError(f"node {i}: explicit psi shape {psi.shape} != ({n_in}, {units})")
-            else:
-                psi = _init_uniform(rng, (n_in, units), n_in)
+            units = _positive(i, "units", item["units"])
+            act = _activation(i, item)
+            w = _param(i, item, "weight", (units, n_in), n_in, rng)
+            psi = _param(i, item, "psi", (n_in, units), n_in, rng)
             nodes[i] = DenseNode(w, act, psi)
             shapes[i] = (units,)
 
         elif kind == "conv":
-            if len(ps) != 1:
-                raise GraphError(f"node {i}: conv takes exactly one parent")
             pshape = shapes[ps[0]]
             if len(pshape) != 3:
                 raise GraphError(f"node {i}: conv needs a (C,H,W) parent, got shape {pshape}")
             c, h, w_ = pshape
             kernel = item.get("kernel", 5)
-            kh, kw = (kernel, kernel) if isinstance(kernel, int) else (int(kernel[0]), int(kernel[1]))
+            kh, kw = (kernel, kernel) if isinstance(kernel, int) else (kernel[0], kernel[1])
+            kh, kw = _positive(i, "kernel", kh), _positive(i, "kernel", kw)
             if kh > h or kw > w_:
                 raise GraphError(f"node {i}: kernel {kh}x{kw} larger than input {h}x{w_}")
-            co = int(item["out_channels"])
-            act = item.get("activation", "tanh")
-            if act not in ACTIVATIONS:
-                raise GraphError(f"node {i}: unknown activation {act!r}")
-            fan_in = c * kh * kw
-            if "weight" in item:
-                wk = tensor.as_tensor(item["weight"])
-                if wk.shape != (co, c, kh, kw):
-                    raise GraphError(
-                        f"node {i}: explicit weight shape {wk.shape} != ({co}, {c}, {kh}, {kw})"
-                    )
-            else:
-                wk = _init_uniform(rng, (co, c, kh, kw), fan_in)
-            psi = tensor.as_tensor(item["psi"]) if "psi" in item else _init_uniform(
-                rng, (co, c, kh, kw), fan_in
-            )
+            co = _positive(i, "out_channels", item["out_channels"])
+            act = _activation(i, item)
+            wk = _param(i, item, "weight", (co, c, kh, kw), c * kh * kw, rng)
+            psi = _param(i, item, "psi", (co, c, kh, kw), c * kh * kw, rng)
             nodes[i] = ConvNode(wk, act, psi)
             shapes[i] = (co, h - kh + 1, w_ - kw + 1)
 
         elif kind == "maxpool":
-            if len(ps) != 1:
-                raise GraphError(f"node {i}: maxpool takes exactly one parent")
             pshape = shapes[ps[0]]
             if len(pshape) != 3:
                 raise GraphError(f"node {i}: maxpool needs a (C,H,W) parent, got shape {pshape}")
@@ -254,9 +335,7 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
             shapes[i] = (c, h // 2, w_ // 2)
 
         elif kind == "flatten":
-            if len(ps) != 1:
-                raise GraphError(f"node {i}: flatten takes exactly one parent")
-            nodes[i] = FlattenNode()
+            nodes[i] = FlattenNode(shapes[ps[0]])
             shapes[i] = (int(np.prod(shapes[ps[0]])),)
 
         elif kind == "add":
@@ -265,7 +344,7 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
             pshapes = {shapes[p] for p in ps}
             if len(pshapes) != 1:
                 raise GraphError(f"node {i}: add parents have differing shapes {sorted(pshapes)}")
-            nodes[i] = AddNode()
+            nodes[i] = AddNode(len(ps))
             shapes[i] = shapes[ps[0]]
 
         else:
@@ -283,15 +362,12 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
     return g
 
 
-def _apply_activation(a: Tensor, activation: str) -> Tensor:
-    return tensor.tanh(a) if activation == "tanh" else a
-
-
-def forward(g: Graph, x) -> Activations:
+def forward(g: Graph, x) -> Sweep:
     """Feedforward sweep. x has shape (batch, *input_shape).
 
-    Returns per-node activations indexed by node id; these become the
-    frozen values for a subsequent relaxation phase.
+    Returns the per-node activations indexed by node id, which become the
+    frozen values of a relaxation phase, with what each node's VJP reuses
+    in Sweep.saved.
     """
     x = tensor.as_tensor(x)
     in_shape = g.shapes[g.input]
@@ -299,29 +375,10 @@ def forward(g: Graph, x) -> Activations:
         raise ShapeError(
             f"forward: input shape {x.shape} does not match (batch, *{in_shape})"
         )
-    batch = x.shape[0]
     acts: list[Tensor] = [None] * len(g.nodes)  # type: ignore[list-item]
+    saved: list = [None] * len(g.nodes)
     acts[g.input] = x
     for i in g.topo_order:
-        node = g.nodes[i]
-        if isinstance(node, InputNode):
-            continue
-        ps = g.parent_ids[i]
-        if isinstance(node, DenseNode):
-            a = tensor.matmul(acts[ps[0]], node.weight.T)
-            acts[i] = _apply_activation(a, node.activation)
-        elif isinstance(node, ConvNode):
-            a = tensor.conv2d(acts[ps[0]], node.weight)
-            acts[i] = _apply_activation(a, node.activation)
-        elif isinstance(node, MaxPoolNode):
-            acts[i] = tensor.maxpool2d(acts[ps[0]])[0]
-        elif isinstance(node, FlattenNode):
-            acts[i] = acts[ps[0]].reshape(batch, -1)
-        elif isinstance(node, AddNode):
-            out = acts[ps[0]]
-            for p in ps[1:]:
-                out = tensor.add(out, acts[p])
-            acts[i] = out
-        else:  # pragma: no cover
-            raise GraphError(f"node {i}: unhandled kind {type(node).__name__}")
-    return acts
+        if i != g.input:
+            acts[i], saved[i] = g.nodes[i].forward(acts, g.parent_ids[i])
+    return Sweep(acts, saved)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import models, oracle, relaxation
-from .graph import DenseNode, Graph, build, forward
+from .graph import Graph, build, forward
 from .relaxation import ARConfig, DivergenceError, RelaxState
 from .tensor import NonFiniteError, Rng, Tensor
 
@@ -175,8 +175,7 @@ def psi_alignment(g: Graph, cfg: ARConfig) -> float | None:
     for j in g.parametric_ids():
         node = g.nodes[j]
         if relaxation._uses_psi(node, cfg):
-            mirror = node.weight.T if isinstance(node, DenseNode) else node.weight
-            pairs.append((node.psi.ravel(), mirror.ravel()))
+            pairs.append((node.psi.ravel(), node.mirror(node.weight).ravel()))
     if not pairs:
         return None
     a = np.concatenate([p for p, _ in pairs])

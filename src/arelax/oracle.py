@@ -13,16 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .graph import (
-    AddNode,
-    ConvNode,
-    DenseNode,
-    FlattenNode,
-    Graph,
-    InputNode,
-    MaxPoolNode,
-    forward,
-)
+from .graph import PARAMETRIC, Graph, Sweep, forward
 from .tensor import ShapeError, Tensor
 
 
@@ -44,12 +35,13 @@ def loss_mse(output, target) -> float:
     return float(0.5 * np.sum((target - output) ** 2) / batch)
 
 
-def backprop(g: Graph, acts: list[Tensor], target) -> GradientSet:
-    """Exact reverse-mode gradients of loss_mse at the given activations.
+def backprop(g: Graph, acts: Sweep, target) -> GradientSet:
+    """Exact reverse-mode gradients of loss_mse at the given sweep.
 
-    Multi-parent contributions sum per the multivariate chain rule; max-pool
-    routes gradients through the argmax map recomputed at the stored
-    activations (identical tie-break everywhere).
+    Each node applies its own VJP to the sweep record forward saved (the
+    im2col columns of a conv input, a max-pool's argmax map), so the
+    tie-break is the sweep's; f' comes from the sweep's outputs. Multi-parent
+    contributions sum per the multivariate chain rule.
     """
     target = tensor.as_tensor(target)
     batch = acts[g.input].shape[0]
@@ -57,47 +49,17 @@ def backprop(g: Graph, acts: list[Tensor], target) -> GradientSet:
     grads.node[g.output] = (acts[g.output] - target) / batch
 
     for j in reversed(g.topo_order):
-        node = g.nodes[j]
-        if isinstance(node, InputNode):
+        if j == g.input:
             continue
+        node = g.nodes[j]
         gj = grads.node[j]
-        p = g.parent_ids[j][0]
-
-        if isinstance(node, DenseNode):
-            if node.activation == "tanh":
-                abar = tensor.matmul(acts[p], node.weight.T)
-                gz = tensor.tanh_prime(abar) * gj
-            else:
-                gz = gj
-            grads.param[j] = gz.T @ acts[p]
-            _accumulate(grads, p, gz @ node.weight)
-
-        elif isinstance(node, ConvNode):
-            co, ci, kh, kw = node.weight.shape
-            _, _, h, w = acts[p].shape
-            if node.activation == "tanh":
-                abar = tensor.conv2d(acts[p], node.weight)
-                gz = tensor.tanh_prime(abar) * gj
-            else:
-                gz = gj
-            gz_flat = gz.reshape(gz.shape[0], co, -1)
-            cols = tensor.im2col(acts[p], kh, kw)
-            grads.param[j] = np.einsum("bop,bkp->ok", gz_flat, cols).reshape(co, ci, kh, kw)
-            wflat = node.weight.reshape(co, -1)
-            cols_grad = np.matmul(wflat.T[None], gz_flat)
-            _accumulate(grads, p, tensor.col2im(cols_grad, ci, kh, kw, h, w))
-
-        elif isinstance(node, MaxPoolNode):
-            _, _, h, w = acts[p].shape
-            _, idx = tensor.maxpool2d(acts[p])
-            _accumulate(grads, p, tensor.maxpool2d_scatter(gj, idx, h, w))
-
-        elif isinstance(node, FlattenNode):
-            _accumulate(grads, p, gj.reshape(acts[p].shape))
-
-        elif isinstance(node, AddNode):
-            for p in g.parent_ids[j]:
-                _accumulate(grads, p, gj)
+        if isinstance(node, PARAMETRIC):
+            fp = node.fprime(acts[j])
+            if fp is not None:
+                gj = fp * gj
+            grads.param[j] = node.outer(gj, acts.saved[j])
+        for p, contribution in zip(g.parent_ids[j], node.vjp(gj, acts.saved[j])):
+            _accumulate(grads, p, contribution)
 
     return grads
 

@@ -12,7 +12,9 @@ The per-edge VJP transports a child's relaxing activity back to its parent
 through the local Jacobian evaluated at the frozen feedforward values: for
 a dense child, (f'(abar) * x_child) @ W; a conv child routes through the
 transposed-convolution position; max-pool scatters through its frozen
-argmax map; flatten reshapes; add passes through unchanged.
+argmax map; flatten reshapes; add passes through unchanged. These are the
+node kinds' own vjp methods (graph.py), the ones oracle.backprop applies,
+run on the sweep's record (Sweep.saved).
 
 Variants, all switchable per ARConfig:
   * backwards_mode="learned_psi": the transport matrix W (or conv kernel)
@@ -44,15 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .graph import (
-    AddNode,
-    ConvNode,
-    DenseNode,
-    FlattenNode,
-    Graph,
-    InputNode,
-    MaxPoolNode,
-)
+from .graph import PARAMETRIC, ConvNode, DenseNode, Graph, Sweep
 from .tensor import NonFiniteError, Tensor
 
 DIVERGENCE_LIMIT = 1e6
@@ -133,106 +127,76 @@ def _uses_psi(node, cfg: ARConfig) -> bool:
 class RelaxState:
     """Frozen sweep data plus the relaxing activities for one minibatch.
 
-    xbar, abar, eps_bar, fprime_bar, pool_idx and cols_bar never change
-    during a phase; only x does.
+    xbar, saved, eps_bar and fprime_bar never change during a phase; only x
+    does. saved is the sweep's record (Sweep.saved): per node, what its VJP
+    reuses, such as the im2col columns of a conv node's input (cols_bar)
+    and a max-pool node's argmax map (pool_idx).
     """
 
     xbar: list[Tensor]
     x: list[Tensor]
-    abar: dict[int, Tensor]
+    saved: list
     eps_bar: Tensor
     fprime_bar: dict[int, Tensor] = field(default_factory=dict)
-    pool_idx: dict[int, Tensor] = field(default_factory=dict)
-    cols_bar: dict[int, Tensor] = field(default_factory=dict)
     last_max_dx: float = float("inf")
 
+    @property
+    def cols_bar(self) -> list:
+        """saved, read at conv nodes: the im2col columns of the frozen input."""
+        return self.saved
 
-def init_state(g: Graph, acts: list[Tensor], target, cfg: ARConfig) -> RelaxState:
-    """Freeze the sweep values and start the relaxing activities at xbar."""
+    @property
+    def pool_idx(self) -> list:
+        """saved, read at max-pool nodes: the frozen argmax maps."""
+        return self.saved
+
+
+def init_state(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
+    """Freeze the sweep values and start the relaxing activities at xbar.
+    Nothing is recomputed: the VJP records come from the sweep, and f' from
+    its outputs."""
     target = tensor.as_tensor(target)
     s = RelaxState(
         xbar=list(acts),
         x=[a.copy() for a in acts],
-        abar={},
+        saved=list(acts.saved),
         eps_bar=target - acts[g.output],
     )
     for j in g.parametric_ids():
-        node = g.nodes[j]
-        p = g.parent_ids[j][0]
-        if isinstance(node, DenseNode):
-            abar = tensor.matmul(acts[p], node.weight.T)
-        else:
-            co, ci, kh, kw = node.weight.shape
-            cols = tensor.im2col(acts[p], kh, kw)
-            s.cols_bar[j] = cols
-            b = acts[p].shape[0]
-            hp, wp = g.shapes[j][1], g.shapes[j][2]
-            abar = np.matmul(node.weight.reshape(co, -1)[None], cols).reshape(b, co, hp, wp)
-        s.abar[j] = abar
-        if node.activation == "tanh":
-            s.fprime_bar[j] = tensor.tanh_prime(abar)
-    for j, node in enumerate(g.nodes):
-        if isinstance(node, MaxPoolNode):
-            p = g.parent_ids[j][0]
-            s.pool_idx[j] = tensor.maxpool2d(acts[p])[1]
+        fp = g.nodes[j].fprime(acts[j])
+        if fp is not None:
+            s.fprime_bar[j] = fp
     return s
 
 
-def _relax_fprime(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> Tensor | None:
-    """f' factor for node j's transport; None means identity (linear)."""
+def _scale_by_fprime(g: Graph, s: RelaxState, cfg: ARConfig, j: int, v: Tensor, unfrozen: bool) -> Tensor:
+    """v times the f' of dense/conv node j: frozen at the sweep, or with
+    `unfrozen` re-evaluated at the parents' relaxing activities. v itself
+    for a linear node or where cfg drops the nonlinearity."""
     node = g.nodes[j]
-    if node.activation != "tanh":
-        return None
-    if not cfg.unfreeze_relax_deriv:
-        return s.fprime_bar[j]
-    p = g.parent_ids[j][0]
-    if isinstance(node, DenseNode):
-        return tensor.tanh_prime(s.x[p] @ node.weight.T)
-    return tensor.tanh_prime(tensor.conv2d(s.x[p], node.weight))
+    if node.activation != "tanh" or _drops_nonlinearity(node, cfg):
+        return v
+    if unfrozen:
+        return node.fprime(node.forward(s.x, g.parent_ids[j])[0]) * v
+    return s.fprime_bar[j] * v
 
 
 def _transport(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> list[tuple[int, Tensor]]:
     """VJP contributions of node j's current activity to each of its parents."""
-    node = g.nodes[j]
-    xj = s.x[j]
+    ps = g.parent_ids[j]
     # Input activities never relax, so nothing is transported into them.
-    ps = [p for p in g.parent_ids[j] if not isinstance(g.nodes[p], InputNode)]
-    if not ps:
+    if all(p == g.input for p in ps):
         return []
-
-    if isinstance(node, DenseNode):
-        v = xj if _drops_nonlinearity(node, cfg) else _mul_fprime(_relax_fprime(g, s, cfg, j), xj)
-        if _uses_psi(node, cfg):
-            return [(ps[0], v @ node.psi.T)]
-        return [(ps[0], v @ node.weight)]
-
-    if isinstance(node, ConvNode):
-        co, ci, kh, kw = node.weight.shape
-        v = xj if _drops_nonlinearity(node, cfg) else _mul_fprime(_relax_fprime(g, s, cfg, j), xj)
-        back = node.psi if _uses_psi(node, cfg) else node.weight
-        vflat = v.reshape(v.shape[0], co, -1)
-        cols_grad = np.matmul(back.reshape(co, -1).T[None], vflat)
-        _, _, h, w = s.xbar[ps[0]].shape
-        return [(ps[0], tensor.col2im(cols_grad, ci, kh, kw, h, w))]
-
-    if isinstance(node, MaxPoolNode):
-        _, _, h, w = s.xbar[ps[0]].shape
-        return [(ps[0], tensor.maxpool2d_scatter(xj, s.pool_idx[j], h, w))]
-
-    if isinstance(node, FlattenNode):
-        return [(ps[0], xj.reshape(s.xbar[ps[0]].shape))]
-
-    if isinstance(node, AddNode):
-        return [(p, xj) for p in ps]
-
-    raise NotImplementedError(type(node).__name__)  # pragma: no cover
+    node = g.nodes[j]
+    if isinstance(node, PARAMETRIC):
+        v = _scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_relax_deriv)
+        sent = node.vjp(v, s.saved[j], node.mirror(node.psi) if _uses_psi(node, cfg) else None)
+    else:
+        sent = node.vjp(s.x[j], s.saved[j])
+    return [(p, c) for p, c in zip(ps, sent) if p != g.input]
 
 
-def _mul_fprime(fp: Tensor | None, v: Tensor) -> Tensor:
-    return v if fp is None else fp * v
-
-
-def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, target, iteration: int = 0) -> RelaxState:
+def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0) -> RelaxState:
     """One synchronous update: all dx computed from pre-step values, then
     applied at once, so node iteration order never affects the result."""
     incoming: dict[int, Tensor] = {}
@@ -248,8 +212,7 @@ def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, target, iteration: int = 
 
     max_dx = 0.0
     for i in g.topo_order:
-        node = g.nodes[i]
-        if isinstance(node, InputNode):
+        if i == g.input:
             continue
         if i == g.output:
             dx = -s.x[i] - s.eps_bar
@@ -269,7 +232,7 @@ def _longest_relaxing_path(g: Graph) -> int:
     depth = [0] * len(g.nodes)
     for j in g.topo_order:
         for p in g.parent_ids[j]:
-            if not isinstance(g.nodes[p], InputNode):
+            if p != g.input:
                 depth[j] = max(depth[j], depth[p] + 1)
     return max(depth)
 
@@ -293,7 +256,7 @@ def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int) -> 
     Nodes are visited children first, so all of a node's incoming transport
     is in its accumulator before its own activity is read and replaced: each
     sweep is synchronous without keeping a second copy of the activities."""
-    relaxing = [j for j in reversed(g.topo_order) if not isinstance(g.nodes[j], InputNode)]
+    relaxing = [j for j in reversed(g.topo_order) if j != g.input]
     coeffs = _cascade_coefficients(steps, _longest_relaxing_path(g), cfg.eta_x)
     top = len(coeffs) - 1
     for k in range(top, -1, -1):
@@ -314,7 +277,7 @@ def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int) -> 
             s.x[j] = r
 
 
-def run_relaxation(g: Graph, acts: list[Tensor], target, cfg: ARConfig) -> RelaxState:
+def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
     """Relax the activities for n_iters steps from x(0) = xbar; last_max_dx
     on the returned state is the final step's max |dx|, the convergence
     diagnostic.
@@ -353,45 +316,19 @@ def run_relaxation(g: Graph, acts: list[Tensor], target, cfg: ARConfig) -> Relax
     s = init_state(g, acts, target, cfg)
     if cfg.unfreeze_relax_deriv:
         for t in range(cfg.n_iters):
-            relax_step(g, s, cfg, target, iteration=t)
+            relax_step(g, s, cfg, iteration=t)
         return s
     _closed_form_advance(g, s, cfg, cfg.n_iters - 1)
-    return relax_step(g, s, cfg, target, iteration=cfg.n_iters - 1)
-
-
-def _update_fprime(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> Tensor | None:
-    node = g.nodes[j]
-    if node.activation != "tanh":
-        return None
-    if not cfg.unfreeze_weight_deriv:
-        return s.fprime_bar[j]
-    p = g.parent_ids[j][0]
-    if isinstance(node, DenseNode):
-        return tensor.tanh_prime(s.x[p] @ node.weight.T)
-    return tensor.tanh_prime(tensor.conv2d(s.x[p], node.weight))
+    return relax_step(g, s, cfg, iteration=cfg.n_iters - 1)
 
 
 def _update_outer(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> Tensor:
     """Batch-mean outer product between the (optionally f'-weighted) child
     equilibrium activity and the parent activity; shaped like the weight."""
     node = g.nodes[j]
-    p = g.parent_ids[j][0]
-    batch = s.xbar[p].shape[0]
-    child = s.x[j]
-    if not _drops_nonlinearity(node, cfg):
-        child = _mul_fprime(_update_fprime(g, s, cfg, j), child)
-
-    if isinstance(node, DenseNode):
-        parent_act = s.x[p] if cfg.unfreeze_weight_activity else s.xbar[p]
-        return child.T @ parent_act / batch
-
-    co, ci, kh, kw = node.weight.shape
-    if cfg.unfreeze_weight_activity:
-        cols = tensor.im2col(s.x[p], kh, kw)
-    else:
-        cols = s.cols_bar[j]
-    vflat = child.reshape(batch, co, -1)
-    return np.einsum("bop,bkp->ok", vflat, cols).reshape(co, ci, kh, kw) / batch
+    child = _scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_weight_deriv)
+    saved = node.forward(s.x, g.parent_ids[j])[1] if cfg.unfreeze_weight_activity else s.saved[j]
+    return node.outer(child, saved) / child.shape[0]
 
 
 def weight_update(g: Graph, s: RelaxState, cfg: ARConfig) -> dict[int, Tensor]:
@@ -405,14 +342,8 @@ def psi_update(g: Graph, s: RelaxState, cfg: ARConfig) -> dict[int, Tensor]:
     psi tracks the transport position W would occupy."""
     if cfg.backwards_mode != "learned_psi":
         raise ValueError("psi_update requires backwards_mode='learned_psi'")
-    deltas: dict[int, Tensor] = {}
-    for j in g.parametric_ids():
-        node = g.nodes[j]
-        if not _uses_psi(node, cfg):
-            continue
-        outer = _update_outer(g, s, cfg, j)
-        deltas[j] = -cfg.eta_psi * (outer.T if isinstance(node, DenseNode) else outer)
-    return deltas
+    return {j: -cfg.eta_psi * g.nodes[j].mirror(_update_outer(g, s, cfg, j))
+            for j in g.parametric_ids() if _uses_psi(g.nodes[j], cfg)}
 
 
 def apply_updates(

@@ -109,17 +109,23 @@ def conv2d(x, kernels) -> Tensor:
     if k.ndim != 4:
         raise ShapeError(f"conv2d: kernels must be 4-D (C_out,C_in,kH,kW), got {k.shape}")
     x4, squeeze = _batched(x, "conv2d")
-    b, c, h, w = x4.shape
-    co, ci, kh, kw = k.shape
+    _, c, h, w = x4.shape
+    _, ci, kh, kw = k.shape
     if ci != c:
         raise ShapeError(f"conv2d: channel mismatch: input {c} vs kernels {ci}")
     if kh > h or kw > w:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
-    cols = im2col(x4, kh, kw)
-    with _quiet():
-        out = np.matmul(k.reshape(co, -1)[None], cols).reshape(b, co, h - kh + 1, w - kw + 1)
-        _finite(out, "conv2d")
+    out = conv2d_cols(im2col(x4, kh, kw), k, h - kh + 1, w - kw + 1)
     return out[0] if squeeze else out
+
+
+def conv2d_cols(cols: Tensor, kernels: Tensor, hp: int, wp: int) -> Tensor:
+    """conv2d's GEMM on im2col columns (B, C_in*kH*kW, hp*wp) of its input:
+    the (B, C_out, hp, wp) output."""
+    co = kernels.shape[0]
+    with _quiet():
+        out = np.matmul(kernels.reshape(co, -1)[None], cols).reshape(cols.shape[0], co, hp, wp)
+        return _finite(out, "conv2d")
 
 
 def maxpool2d(x) -> tuple[Tensor, Tensor]:
@@ -176,22 +182,6 @@ def add(a, b) -> Tensor:
     return _finite(a + b, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    _same_shape(a, b, "sub")
-    return _finite(a - b, "sub")
-
-
-def mul(a, b) -> Tensor:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    _same_shape(a, b, "mul")
-    return _finite(a * b, "mul")
-
-
-def scale(a, c: float) -> Tensor:
-    return _finite(np.asarray(a, dtype=np.float64) * float(c), "scale")
-
-
 # ---------------------------------------------------------------------------
 # seeded randomness
 
@@ -225,10 +215,3 @@ class Rng:
     def integers(self, lo: int, hi: int) -> int:
         return int(self._gen.integers(lo, hi))
 
-
-def rng_normal(rng: Rng, shape, mean: float, std: float) -> Tensor:
-    return rng.normal(shape, mean, std)
-
-
-def rng_uniform(rng: Rng, shape, lo: float, hi: float) -> Tensor:
-    return rng.uniform(shape, lo, hi)

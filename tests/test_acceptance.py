@@ -111,7 +111,7 @@ def equivalence_suite():
         s = run_relaxation(g, acts, t, cfg)
         x100 = [a.copy() for a in s.x]
         for it in range(C2_SHORT_ITERS, 500):
-            relax_step(g, s, cfg, t, iteration=it)
+            relax_step(g, s, cfg, iteration=it)
         e500 = max(node_rel_errors(g, s, grads, batch).values())
         wd = weight_update(g, s, cfg)
         ew = max(rel_error(wd[j], -cfg.eta_theta * grads.param[j]) for j in wd)

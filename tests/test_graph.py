@@ -90,6 +90,26 @@ class TestBuild:
         with pytest.raises(GraphError, match="weight shape"):
             build(spec)
 
+    def test_explicit_conv_psi_shape_checked(self):
+        spec = [
+            {"kind": "input", "shape": (2, 5, 5)},
+            {"kind": "conv", "out_channels": 3, "kernel": 3, "psi": np.zeros((2, 3, 3, 3))},
+        ]
+        with pytest.raises(GraphError, match="psi shape"):
+            build(spec, Rng(0))
+
+    @pytest.mark.parametrize("item", [
+        {"kind": "dense", "units": 0},
+        {"kind": "dense", "units": -3},
+        {"kind": "conv", "out_channels": 0, "kernel": 3},
+        {"kind": "conv", "out_channels": 2, "kernel": 0},
+        {"kind": "conv", "out_channels": 2, "kernel": [3, -1]},
+    ], ids=["units_0", "units_negative", "out_channels_0", "kernel_0", "kernel_pair_negative"])
+    def test_non_positive_extent_rejected(self, item):
+        parent = {"dense": (4,), "conv": (1, 5, 5)}[item["kind"]]
+        with pytest.raises(GraphError, match="must be positive"):
+            build([{"kind": "input", "shape": parent}, item], Rng(0))
+
     def test_unknown_kind(self):
         with pytest.raises(GraphError, match="unknown kind"):
             build([{"kind": "input", "shape": (2,)}, {"kind": "softmax"}], Rng(0))

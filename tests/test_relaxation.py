@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from arelax import relaxation
-from arelax.graph import InputNode, build, forward
+from arelax import relaxation, tensor
+from arelax.graph import ConvNode, DenseNode, InputNode, MaxPoolNode, build, forward
 from arelax.harness import node_rel_errors, random_case, random_chain_spec, rel_error, skip_dag_spec
 from arelax.oracle import backprop, loss_mse
 from arelax.relaxation import (
@@ -81,7 +81,7 @@ def step_by_step(g, acts, t, cfg):
     """The reference engine: relax_step n_iters times from init_state."""
     s = init_state(g, acts, t, cfg)
     for it in range(cfg.n_iters):
-        relax_step(g, s, cfg, t, iteration=it)
+        relax_step(g, s, cfg, iteration=it)
     return s
 
 
@@ -135,7 +135,7 @@ class TestRelaxStep:
             if not isinstance(g.nodes[i], InputNode):
                 s.x[i] = grads.node[i].copy()
         before = [a.copy() for a in s.x]
-        relax_step(g, s, cfg, t)
+        relax_step(g, s, cfg)
         for i in range(len(g.nodes)):
             if not isinstance(g.nodes[i], InputNode):
                 np.testing.assert_array_equal(s.x[i], before[i])
@@ -157,7 +157,7 @@ class TestRelaxStep:
         acts = forward(g, x)
         cfg = ARConfig()
         s = init_state(g, acts, t, cfg)
-        relax_step(g, s, cfg, t)
+        relax_step(g, s, cfg)
 
         ref = init_state(g, acts, t, cfg)
         incoming = {}
@@ -179,14 +179,14 @@ class TestRelaxStep:
         s = init_state(g, acts, t, cfg)
         frozen = {
             "xbar": [a.tobytes() for a in s.xbar],
-            "abar": {j: a.tobytes() for j, a in s.abar.items()},
+            "saved": [None if a is None else a.tobytes() for a in s.saved],
             "eps": s.eps_bar.tobytes(),
             "fp": {j: a.tobytes() for j, a in s.fprime_bar.items()},
         }
         for it in range(50):
-            relax_step(g, s, cfg, t, iteration=it)
+            relax_step(g, s, cfg, iteration=it)
         assert [a.tobytes() for a in s.xbar] == frozen["xbar"]
-        assert {j: a.tobytes() for j, a in s.abar.items()} == frozen["abar"]
+        assert [None if a is None else a.tobytes() for a in s.saved] == frozen["saved"]
         assert s.eps_bar.tobytes() == frozen["eps"]
         assert {j: a.tobytes() for j, a in s.fprime_bar.items()} == frozen["fp"]
 
@@ -213,7 +213,7 @@ class TestRelaxStep:
         first = g.children(g.input)[0]      # earliest guarded node
         s.x[first][0, 0] = bad
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
-            relax_step(g, s, cfg, t, iteration=7)
+            relax_step(g, s, cfg, iteration=7)
         assert (exc.value.node, exc.value.iteration) == (first, 7)
 
 
@@ -307,6 +307,45 @@ class TestClosedForm:
             assert sent == [p for p in g.parent_ids[j] if p != g.input]
 
 
+class TestSweepRecord:
+    """init_state and backprop reuse what the forward sweep computed."""
+
+    @pytest.mark.parametrize("graph", ["conv_pool", "skip_dag"])
+    def test_init_state_and_backprop_run_no_forward_kernel(self, monkeypatch, graph):
+        g, x, t = GRAPHS[graph]()
+        acts = forward(g, x)
+        calls = []
+        for name in ("matmul", "conv2d", "conv2d_cols", "im2col", "maxpool2d"):
+            def counting(*args, _name=name, _kernel=getattr(tensor, name)):
+                calls.append(_name)
+                return _kernel(*args)
+            monkeypatch.setattr(tensor, name, counting)
+        init_state(g, acts, t, ARConfig())
+        backprop(g, acts, t)
+        assert calls == []
+        forward(g, x)       # the counters do see the sweep's kernels
+        assert calls
+
+    def test_saved_is_what_the_vjps_would_recompute(self):
+        g, x, _ = GRAPHS["conv_pool"]()
+        acts = forward(g, x)
+        for j, node in enumerate(g.nodes):
+            if j == g.input:
+                continue
+            xp = acts[g.parent_ids[j][0]]
+            if isinstance(node, ConvNode):
+                _, _, kh, kw = node.weight.shape
+                np.testing.assert_array_equal(acts.saved[j], tensor.im2col(xp, kh, kw))
+            elif isinstance(node, MaxPoolNode):
+                np.testing.assert_array_equal(acts.saved[j], tensor.maxpool2d(xp)[1])
+            elif isinstance(node, DenseNode):
+                assert acts.saved[j] is xp
+            else:
+                assert acts.saved[j] is None
+        s = init_state(g, acts, np.zeros_like(acts[g.output]), ARConfig())
+        assert s.cols_bar[1] is acts.saved[1] and s.pool_idx[3] is acts.saved[3]
+
+
 class TestConvergence:
     def test_mlp_equilibrium_matches_oracle_at_500_iters(self):
         for seed in range(5):
@@ -351,7 +390,7 @@ class TestConvergence:
         s = run_relaxation(g, acts, t, ARConfig(n_iters=100))
         errs100 = node_rel_errors(g, s, grads, x.shape[0])
         for it in range(100, 200):
-            relax_step(g, s, ARConfig(), t, iteration=it)
+            relax_step(g, s, ARConfig(), iteration=it)
         errs200 = node_rel_errors(g, s, grads, x.shape[0])
         for i in errs100:
             assert errs200[i] <= errs100[i] + 1e-12

@@ -131,16 +131,11 @@ class TestElementwise:
         a = np.linspace(-4, 4, 101)
         np.testing.assert_allclose(tensor.tanh_prime(a), 1 - np.tanh(a) ** 2, rtol=0, atol=0)
 
-    def test_add_sub_mul(self):
+    def test_add(self):
         a, b = np.array([1.0, 2.0]), np.array([3.0, 5.0])
         np.testing.assert_array_equal(tensor.add(a, b), [4.0, 7.0])
-        np.testing.assert_array_equal(tensor.sub(a, b), [-2.0, -3.0])
-        np.testing.assert_array_equal(tensor.mul(a, b), [3.0, 10.0])
 
-    def test_scale_scalar_broadcast(self):
-        np.testing.assert_array_equal(tensor.scale(np.array([1.0, -2.0]), 3.0), [3.0, -6.0])
-
-    @pytest.mark.parametrize("op", [tensor.add, tensor.sub, tensor.mul])
+    @pytest.mark.parametrize("op", [tensor.add])
     def test_shape_mismatch(self, op):
         with pytest.raises(ShapeError):
             op(np.zeros(2), np.zeros(3))
@@ -148,27 +143,27 @@ class TestElementwise:
 
 class TestRng:
     def test_same_seed_identical_streams(self):
-        a = tensor.rng_normal(Rng(42), (3, 4), 0.0, 1.0)
-        b = tensor.rng_normal(Rng(42), (3, 4), 0.0, 1.0)
+        a = Rng(42).normal((3, 4), 0.0, 1.0)
+        b = Rng(42).normal((3, 4), 0.0, 1.0)
         assert a.tobytes() == b.tobytes()
 
     def test_zero_std_is_constant(self):
-        out = tensor.rng_normal(Rng(1), (5,), 2.5, 0.0)
+        out = Rng(1).normal((5,), 2.5, 0.0)
         np.testing.assert_array_equal(out, np.full(5, 2.5))
 
     def test_law_of_large_numbers(self):
         n = 100_000
-        draws = tensor.rng_normal(Rng(7), (n,), 1.0, 2.0)
+        draws = Rng(7).normal((n,), 1.0, 2.0)
         assert abs(draws.mean() - 1.0) <= 3 * 2.0 / np.sqrt(n)
 
     def test_uniform_bounds(self):
-        out = tensor.rng_uniform(Rng(3), (1000,), -0.25, 0.25)
+        out = Rng(3).uniform((1000,), -0.25, 0.25)
         assert out.min() >= -0.25 and out.max() <= 0.25
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            tensor.rng_normal(Rng(0), (2,), 0.0, -1.0)
+            Rng(0).normal((2,), 0.0, -1.0)
         with pytest.raises(ValueError):
-            tensor.rng_uniform(Rng(0), (2,), 1.0, 0.0)
+            Rng(0).uniform((2,), 1.0, 0.0)
         with pytest.raises(ValueError):
             Rng(-1)
