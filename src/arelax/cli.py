@@ -10,6 +10,7 @@ back to the AR_DATA_DIR environment variable when --data-dir is absent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
@@ -70,10 +71,9 @@ def _dispatch(args) -> int:
         print(f"metrics written to {path}")
         return 0
 
-    if args.iters is not None:
-        cfg.gradcheck.iters = args.iters
-    if args.tol is not None:
-        cfg.gradcheck.tolerance = args.tol
+    overrides = {"iters": args.iters, "tolerance": args.tol}
+    cfg.gradcheck = dataclasses.replace(
+        cfg.gradcheck, **{k: v for k, v in overrides.items() if v is not None})
     report = harness.gradcheck(cfg)
     for line in report.lines():
         print(line)

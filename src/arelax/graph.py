@@ -57,7 +57,9 @@ class _Parametric:
     psi: Tensor             # backwards parameters; mirror(psi) is in W's layout
 
     def _activate(self, a: Tensor) -> Tensor:
-        return tensor.tanh(a) if self.activation == "tanh" else a
+        # a comes from tensor.matmul / conv2d_cols, which already raised on a
+        # non-finite value, and tanh of a finite array is finite
+        return np.tanh(a) if self.activation == "tanh" else a
 
     def fprime(self, out: Tensor) -> Tensor | None:
         """f' at the pre-activation, from the node's output: for tanh,

@@ -48,6 +48,14 @@ class GradcheckOptions:
     fd_step: float = 1e-5
     check_model: bool = True  # also check the configured model at reduced width
 
+    def __post_init__(self):
+        for name in ("graphs", "batch", "iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"gradcheck {name} must be >= 1, got {getattr(self, name)}")
+        for name in ("tolerance", "fd_tolerance", "fd_step"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"gradcheck {name} must be > 0, got {getattr(self, name)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -73,6 +81,11 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'train' or 'gradcheck', got {self.mode!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("log_every", "grad_angle_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def resolve_data_dir(self) -> str:
         d = self.data_dir or os.environ.get("AR_DATA_DIR")
@@ -291,6 +304,11 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         raise ValueError(
             f"model has {cfg.model.class_count} classes but {cfg.dataset} has {train.class_count}"
         )
+    if train.images.shape[1:] != models.input_shape(cfg.model):
+        raise ValueError(
+            f"model {cfg.model.name} takes inputs of shape {models.input_shape(cfg.model)} "
+            f"but {cfg.dataset} images have shape {train.images.shape[1:]}"
+        )
     rows: list[dict] = []
     for seed in cfg.seeds:
         rows.extend(_run_seed(cfg, seed, train, test))
@@ -388,11 +406,18 @@ def _check_graph(label: str, g: Graph, rng: Rng, cfg: ExperimentConfig,
     worst_node = max(errs, key=errs.get)
     entries.append(GradcheckEntry(label, "ar_vs_oracle", errs[worst_node], gc.tolerance, node=worst_node))
     if with_fd:
-        fd = oracle.finite_diff(g, x, target, h=gc.fd_step)
-        perrs = {j: rel_error(grads.param[j], fd.param[j]) for j in fd.param}
-        perrs[g.input] = rel_error(grads.node[g.input], fd.node[g.input])
-        worst_node = max(perrs, key=perrs.get)
-        entries.append(GradcheckEntry(label, "oracle_vs_fd", perrs[worst_node], gc.fd_tolerance, node=worst_node))
+        entries.append(_fd_entry(label, g, x, target, grads, gc))
+
+
+def _fd_entry(label: str, g: Graph, x: Tensor, target: Tensor,
+              grads: oracle.GradientSet, gc: GradcheckOptions) -> GradcheckEntry:
+    """Worst relative error of the oracle's parameter and input gradients
+    against central finite differences."""
+    fd = oracle.finite_diff(g, x, target, h=gc.fd_step)
+    perrs = {j: rel_error(grads.param[j], fd.param[j]) for j in fd.param}
+    perrs[g.input] = rel_error(grads.node[g.input], fd.node[g.input])
+    worst_node = max(perrs, key=perrs.get)
+    return GradcheckEntry(label, "oracle_vs_fd", perrs[worst_node], gc.fd_tolerance, node=worst_node)
 
 
 def gradcheck(cfg: ExperimentConfig) -> GradcheckReport:
@@ -422,11 +447,7 @@ def gradcheck(cfg: ExperimentConfig) -> GradcheckReport:
         worst_node = max(errs, key=errs.get)
         entries.append(GradcheckEntry(f"{cfg.model.name}_reduced", "ar_vs_oracle",
                                       errs[worst_node], gc.tolerance, node=worst_node))
-        fd = oracle.finite_diff(g, x, target, h=gc.fd_step)
-        perrs = {j: rel_error(grads.param[j], fd.param[j]) for j in fd.param}
-        worst_node = max(perrs, key=perrs.get)
-        entries.append(GradcheckEntry(f"{cfg.model.name}_reduced", "oracle_vs_fd",
-                                      perrs[worst_node], gc.fd_tolerance, node=worst_node))
+        entries.append(_fd_entry(f"{cfg.model.name}_reduced", g, x, target, grads, gc))
     baseline = (
         cfg.ar.backwards_mode == "transpose"
         and cfg.ar.nonlinearity_mode == "exact"

@@ -31,8 +31,14 @@ def loss_mse(output, target) -> float:
     target = np.asarray(target, dtype=np.float64)
     if output.shape != target.shape:
         raise ShapeError(f"loss_mse: output {output.shape} vs target {target.shape}")
-    batch = output.shape[0]
-    return float(0.5 * np.sum((target - output) ** 2) / batch)
+    return float(_stacked_losses(output, target)[0])
+
+
+def _stacked_losses(output: Tensor, target: Tensor) -> np.ndarray:
+    """loss_mse of each of the P batches stacked on output's batch axis
+    (P*B rows against B target rows), one value per batch."""
+    d = target - output.reshape(-1, *target.shape)
+    return 0.5 * np.sum((d ** 2).reshape(d.shape[0], -1), axis=1) / target.shape[0]
 
 
 def backprop(g: Graph, acts: Sweep, target) -> GradientSet:
@@ -71,44 +77,82 @@ def _accumulate(grads: GradientSet, i: int, contribution: Tensor) -> None:
         grads.node[i] = contribution
 
 
+# Bytes of stacked activations one finite-difference chunk may hold: the
+# perturbed copies of node j's activation plus every activation evaluated
+# or tiled below it. Small, so that a gradient check's peak memory stays
+# within about 1 MB of the per-perturbation loop's; larger chunks gain
+# little speed.
+FD_CHUNK_BYTES = 1 << 19
+
+
 def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     """Central differences (L(v+h) - L(v-h)) / 2h per scalar parameter and
-    per input coordinate. Independent of backprop by construction."""
+    per input coordinate. Forward-only: no VJP, outer product or backprop
+    runs, so it is independent of backprop by construction.
+
+    One sweep of the unperturbed batch gives every activation. Each entry of
+    node j's weight is set to v+h and v-h in turn, node j's own forward runs
+    at each, and the entry is restored (also when the forward raises); an
+    input coordinate's copies are the perturbed inputs themselves. The
+    copies of node j's activation are stacked on the batch axis, and only
+    the nodes downstream of j run on the stack, once per chunk; any other
+    parent they read is the unperturbed activation, tiled. Each copy's loss
+    is loss_mse over its own rows. A chunk holds at most FD_CHUNK_BYTES of
+    stacked activations, and at least one +h/-h pair.
+    """
     if h <= 0:
         raise ValueError(f"finite_diff: step must be positive, got {h}")
     x = tensor.as_tensor(x)
     target = tensor.as_tensor(target)
-
-    def loss_at() -> float:
-        acts = forward(g, x)
-        return loss_mse(acts[g.output], target)
+    acts = forward(g, x)
 
     grads = GradientSet()
     for j in g.parametric_ids():
-        w = g.nodes[j].weight
-        gw = np.zeros_like(w)
-        flat = w.reshape(-1)
-        gflat = gw.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            lp = loss_at()
-            flat[k] = orig - h
-            lm = loss_at()
-            flat[k] = orig
-            gflat[k] = (lp - lm) / (2 * h)
-        grads.param[j] = gw
-
-    gx = np.zeros_like(x)
-    xflat = x.reshape(-1)
-    gxflat = gx.reshape(-1)
-    for k in range(xflat.size):
-        orig = xflat[k]
-        xflat[k] = orig + h
-        lp = loss_at()
-        xflat[k] = orig - h
-        lm = loss_at()
-        xflat[k] = orig
-        gxflat[k] = (lp - lm) / (2 * h)
-    grads.node[g.input] = gx
+        node, ps = g.nodes[j], g.parent_ids[j]
+        grads.param[j] = _central_diff(g, acts, target, j, node.weight, h,
+                                       lambda: node.forward(acts, ps)[0])
+    xp = x.copy()
+    grads.node[g.input] = _central_diff(g, acts, target, g.input, xp, h, xp.copy)
     return grads
+
+
+def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, v: Tensor,
+                  h: float, at) -> Tensor:
+    """dL/dv by central differences, where v is node j's weight, or the
+    input itself when j is the input node, and at() returns node j's
+    activation at v's current value."""
+    below = _downstream(g, j)
+    tiled = {p for i in below for p in g.parent_ids[i]} - set(below) - {j}
+    batch = acts[j].shape[0]
+    copy_bytes = 8 * batch * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
+    pairs = max(1, FD_CHUNK_BYTES // (2 * copy_bytes))
+    grad = np.empty(v.size)
+    for k0 in range(0, v.size, pairs):
+        copies = []
+        for k in range(k0, min(k0 + pairs, v.size)):
+            orig = v.flat[k]
+            try:
+                v.flat[k] = orig + h
+                copies.append(at())
+                v.flat[k] = orig - h
+                copies.append(at())
+            finally:
+                v.flat[k] = orig
+        run = list(acts)
+        for p in tiled:
+            run[p] = np.concatenate([acts[p]] * len(copies))
+        run[j] = np.concatenate(copies)
+        for i in below:
+            run[i] = g.nodes[i].forward(run, g.parent_ids[i])[0]
+        losses = _stacked_losses(run[g.output], target)
+        grad[k0 : k0 + len(copies) // 2] = (losses[0::2] - losses[1::2]) / (2 * h)
+    return grad.reshape(v.shape)
+
+
+def _downstream(g: Graph, j: int) -> list[int]:
+    """The nodes with a path from node j, in topological order."""
+    reached = {j}
+    for i in g.topo_order:
+        if reached.intersection(g.parent_ids[i]):
+            reached.add(i)
+    return [i for i in g.topo_order if i in reached and i != j]

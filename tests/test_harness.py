@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from arelax import cli
+from arelax import cli, oracle
 from arelax.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -197,6 +197,16 @@ class TestTraining:
         with pytest.raises(ValueError, match="classes"):
             run_experiment(cfg)
 
+    def test_input_shape_mismatch_rejected(self, synth_data_root, tmp_path):
+        cfg = ExperimentConfig(
+            model=ModelSpec("mlp4", 10), dataset="cifar10",
+            ar=ARConfig(n_iters=5), epochs=1, seeds=[0],
+            output=str(tmp_path / "x.csv"), data_dir=synth_data_root,
+        )
+        with pytest.raises(ValueError, match=r"\(1, 28, 28\).*\(3, 32, 32\)"):
+            run_experiment(cfg)
+        assert not os.path.exists(cfg.output)
+
 
 class TestDiagnostics:
     def test_accuracy_tie_breaks_to_lowest_class(self):
@@ -275,6 +285,27 @@ class TestConfig:
                 "epochs": 1, "seeds": [], "output": "m.csv",
             })
 
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", 0), ("log_every", -1), ("grad_angle_every", -1),
+    ])
+    def test_bad_run_setting_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({
+                "model": {"name": "mlp4"}, "dataset": "mnist", "ar": {},
+                "epochs": 1, "seeds": [0], "output": "m.csv", key: value,
+            })
+
+    @pytest.mark.parametrize("key,value", [
+        ("graphs", 0), ("batch", 0), ("iters", 0), ("tolerance", 0.0),
+        ("fd_tolerance", -1e-4), ("fd_step", 0.0), ("fd_step", float("nan")),
+    ])
+    def test_bad_gradcheck_option_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({
+                "model": {"name": "mlp4"}, "dataset": "mnist", "ar": {}, "epochs": 0,
+                "seeds": [0], "output": "m.csv", "mode": "gradcheck", "gradcheck": {key: value},
+            })
+
     def test_file_loading(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({
@@ -341,6 +372,18 @@ class TestGradcheck:
         labels = [e.label for e in report.entries]
         assert "skip_dag" in labels and "mlp4_reduced" in labels
 
+    def test_reduced_model_fd_covers_input_gradient(self, monkeypatch):
+        bare = oracle.finite_diff
+
+        def wrong_input_gradient(g, x, target, h):
+            fd = bare(g, x, target, h)
+            fd.node[g.input] = 2 * fd.node[g.input]
+            return fd
+        monkeypatch.setattr(oracle, "finite_diff", wrong_input_gradient)
+        report = gradcheck(self._cfg())
+        entry = next(e for e in report.entries if e.label == "mlp4_reduced" and e.check == "oracle_vs_fd")
+        assert entry.node == 0 and not entry.ok
+
     def test_impossible_tolerance_fails(self):
         report = gradcheck(self._cfg(tolerance=1e-18, check_model=False))
         assert not report.ok
@@ -396,6 +439,14 @@ class TestCli:
                                               "check_model": False})
         assert cli.main(["gradcheck", "--config", cfg_path, "--tol", "1e-18"]) == 1
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value,key", [("--iters", "0", "iters"), ("--tol", "-1", "tolerance")])
+    def test_gradcheck_override_validated(self, synth_data_root, tmp_path, capsys, flag, value, key):
+        cfg_path = self._write_cfg(tmp_path, synth_data_root,
+                                   gradcheck={"graphs": 3, "batch": 2, "iters": 400,
+                                              "check_model": False})
+        assert cli.main(["gradcheck", "--config", cfg_path, flag, value]) == 2
+        assert key in capsys.readouterr().err
 
     def test_bad_data_dir_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AR_DATA_DIR", raising=False)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arelax import oracle
-from arelax.graph import build, forward
-from arelax.harness import rel_error, skip_dag_spec
-from arelax.oracle import backprop, finite_diff, loss_mse
-from arelax.tensor import Rng, ShapeError
+from arelax import models, oracle
+from arelax.graph import PARAMETRIC, AddNode, FlattenNode, MaxPoolNode, build, forward
+from arelax.harness import random_case, random_chain_spec, rel_error, skip_dag_spec
+from arelax.oracle import GradientSet, backprop, finite_diff, loss_mse
+from arelax.tensor import NonFiniteError, Rng, ShapeError
 
 
 def scalar_chain():
@@ -14,6 +16,16 @@ def scalar_chain():
         {"kind": "dense", "units": 1, "activation": "linear", "weight": [[2.0]], "psi": [[0.1]]},
         {"kind": "dense", "units": 1, "activation": "linear", "weight": [[3.0]], "psi": [[0.1]]},
     ])
+
+
+# conv -> maxpool -> flatten -> dense
+CONV_POOL_SPEC = [
+    {"kind": "input", "shape": (2, 6, 6)},
+    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
+    {"kind": "maxpool"},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
 
 
 def one_hot_targets(rng: Rng, batch: int, k: int):
@@ -156,14 +168,7 @@ class TestFiniteDiff:
 
     def test_conv_pool_graph_against_fd(self):
         rng = Rng(18)
-        spec = [
-            {"kind": "input", "shape": (2, 6, 6)},
-            {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
-            {"kind": "maxpool"},
-            {"kind": "flatten"},
-            {"kind": "dense", "units": 3, "activation": "linear"},
-        ]
-        g = build(spec, rng)
+        g = build(CONV_POOL_SPEC, rng)
         x = Rng(19).normal((2, 2, 6, 6))
         t = one_hot_targets(Rng(20), 2, 3)
         grads = backprop(g, forward(g, x), t)
@@ -171,3 +176,223 @@ class TestFiniteDiff:
         worst = max(rel_error(grads.param[j], fd.param[j]) for j in fd.param)
         worst = max(worst, rel_error(grads.node[0], fd.node[0]))
         assert worst <= 1e-4
+
+
+def reference_finite_diff(g, x, target, h=1e-5, entries=None) -> GradientSet:
+    """The per-perturbation loop: one full forward per +h and per -h of each
+    weight entry and input coordinate. entries(size) picks the flat indices
+    to evaluate (all by default); the others stay 0."""
+    x = np.array(x, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    pick = entries or range
+
+    def loss_at() -> float:
+        return loss_mse(forward(g, x)[g.output], target)
+
+    def central(v):
+        gv = np.zeros_like(v)
+        flat, gflat = v.reshape(-1), gv.reshape(-1)
+        for k in pick(flat.size):
+            orig = flat[k]
+            flat[k] = orig + h
+            lp = loss_at()
+            flat[k] = orig - h
+            lm = loss_at()
+            flat[k] = orig
+            gflat[k] = (lp - lm) / (2 * h)
+        return gv
+
+    grads = GradientSet()
+    for j in g.parametric_ids():
+        grads.param[j] = central(g.nodes[j].weight)
+    grads.node[g.input] = central(x)
+    return grads
+
+
+# every node kind: a conv skip branch joined by an add, then pool and head
+ALL_KINDS_SPEC = [
+    {"kind": "input", "shape": (2, 6, 6)},
+    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
+    {"kind": "conv", "out_channels": 3, "kernel": 1, "activation": "tanh"},
+    {"kind": "add", "parents": [1, 2]},
+    {"kind": "maxpool"},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
+
+
+def stacking_case(name: str):
+    """(graph, x, target, entries) for the stacked-vs-reference checks. The
+    reduced cnn's reference samples 40 entries per tensor, since a full
+    per-perturbation loop over its 12k input coordinates takes seconds;
+    its batch is 2, because numpy computes a one-row product as a
+    matrix-vector product, which rounds differently from the stacked GEMM."""
+    if name == "chain":
+        rng = Rng(31)
+        g = build(random_chain_spec(rng, max_width=16), rng)
+        batch, entries = 4, None
+    elif name == "skip_dag":
+        rng = Rng(32)
+        g = build(skip_dag_spec(), rng)
+        batch, entries = 4, None
+    elif name == "conv_pool":
+        rng = Rng(33)
+        g = build(CONV_POOL_SPEC, rng)
+        batch, entries = 2, None
+    else:
+        rng = Rng(34)
+        g = build(models.reduced_spec(models.ModelSpec("cnn")), rng)
+        batch = 2
+        entries = lambda n: np.unique(np.random.default_rng(n).integers(0, n, 40))  # noqa: E731
+    x, t = random_case(g, rng, batch)
+    return g, x, t, entries
+
+
+class TestStackedFiniteDiff:
+    """finite_diff stacks the perturbations; the reference runs one forward
+    per perturbation, and both compute the same losses. The chunks here keep
+    every stack at 14 copies or fewer: BLAS may round a much taller GEMM
+    differently in the last bit, which the 1/2h quotient magnifies to about
+    1e-10."""
+
+    @pytest.mark.parametrize("pairs", [0, 7], ids=["smallest_chunk", "uneven_chunk"])
+    @pytest.mark.parametrize("name", ["chain", "skip_dag", "conv_pool", "reduced_cnn"])
+    def test_matches_per_perturbation_loop(self, name, pairs, monkeypatch):
+        g, x, t, entries = stacking_case(name)
+        batch = x.shape[0]
+        # 0 pairs: a 1-byte bound, one +h/-h pair per chunk. 7 pairs: the
+        # output node's weight entries (whose stack is its own activation
+        # alone) go 7 pairs to a chunk, which leaves a shorter last chunk.
+        n_out, width = g.nodes[g.output].weight.size, g.shapes[g.output][0]
+        assert n_out % 7
+        monkeypatch.setattr(oracle, "FD_CHUNK_BYTES", max(1, pairs * 2 * 8 * batch * width))
+        heights = []
+
+        def spy(out, target, bare=oracle._stacked_losses):
+            heights.append(out.shape[0])
+            return bare(out, target)
+        monkeypatch.setattr(oracle, "_stacked_losses", spy)
+
+        ref = reference_finite_diff(g, x, t, entries=entries)
+        heights.clear()
+        fd = finite_diff(g, x, t)
+        if pairs:
+            assert {2 * pairs * batch, 2 * (n_out % pairs) * batch} <= set(heights)
+        else:
+            assert set(heights) == {2 * batch}
+
+        pick = entries or (lambda n: slice(None))
+        for j in ref.param:
+            w = fd.param[j].reshape(-1)
+            assert rel_error(w[pick(w.size)], ref.param[j].reshape(-1)[pick(w.size)]) <= 1e-12, j
+        gx = fd.node[g.input].reshape(-1)
+        assert rel_error(gx[pick(gx.size)], ref.node[g.input].reshape(-1)[pick(gx.size)]) <= 1e-12
+
+    def test_calls_no_reverse_mode_code(self, monkeypatch):
+        calls = []
+
+        def counter(name):
+            def count(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"finite_diff called {name}")
+            return count
+        monkeypatch.setattr(oracle, "backprop", counter("backprop"))
+        for cls in (*PARAMETRIC, MaxPoolNode, FlattenNode, AddNode):
+            monkeypatch.setattr(cls, "vjp", counter(f"{cls.__name__}.vjp"))
+        for cls in PARAMETRIC:
+            monkeypatch.setattr(cls, "outer", counter(f"{cls.__name__}.outer"))
+            monkeypatch.setattr(cls, "mirror", staticmethod(counter(f"{cls.__name__}.mirror")))
+        rng = Rng(35)
+        g = build(ALL_KINDS_SPEC, rng)
+        x, t = random_case(g, rng, 2)
+        finite_diff(g, x, t)
+        assert calls == []
+
+    def test_far_fewer_sweeps_than_perturbations(self, monkeypatch):
+        rng = Rng(36)
+        g = build(models.reduced_spec(models.ModelSpec("mlp4")), rng)
+        x, t = random_case(g, rng, 4)
+        sweeps = []
+
+        def counted(g, x, bare=oracle.forward):
+            sweeps.append(1)
+            return bare(g, x)
+        monkeypatch.setattr(oracle, "forward", counted)
+        finite_diff(g, x, t)
+        perturbations = 2 * (x.size + sum(g.nodes[j].weight.size for j in g.parametric_ids()))
+        assert 1 <= len(sweeps) <= perturbations // 1000
+
+    @pytest.mark.parametrize("raiser,nth", [(2, 3), (3, 2)], ids=["perturbed_node", "downstream_node"])
+    def test_raising_forward_restores_every_weight(self, raiser, nth, monkeypatch):
+        """Dense node 2 raises on its third forward, the first with its own
+        weight perturbed (the unperturbed sweep and the stacked run below
+        node 1 come first); the add node 3 on its first call after the
+        sweep."""
+        rng = Rng(37)
+        g = build(skip_dag_spec(), rng)
+        x, t = random_case(g, rng, 4)
+        before = {j: g.nodes[j].weight.tobytes() for j in g.parametric_ids()}
+        x_before = x.tobytes()
+        node = g.nodes[raiser]
+        calls = []
+
+        def flaky(acts, ps, bare=node.forward):
+            calls.append(1)
+            if len(calls) == nth:
+                raise NonFiniteError("injected")
+            return bare(acts, ps)
+        monkeypatch.setattr(node, "forward", flaky)
+        with pytest.raises(NonFiniteError, match="injected"):
+            finite_diff(g, x, t)
+        for j, b in before.items():
+            assert g.nodes[j].weight.tobytes() == b, j
+        assert x.tobytes() == x_before
+
+
+@st.composite
+def conv_dags(draw):
+    """A random small DAG of conv, maxpool, flatten, add and dense nodes,
+    with the seed and batch to draw its weights and case from."""
+    channels, side = draw(st.integers(1, 2)), draw(st.sampled_from([4, 6]))
+    spec = [{"kind": "input", "shape": (channels, side, side)}]
+
+    def add(item, *parents):
+        spec.append({**item, "parents": list(parents)})
+        return len(spec) - 1
+
+    def conv(parent, out_channels, kernel):
+        return add({"kind": "conv", "out_channels": out_channels, "kernel": kernel,
+                    "activation": draw(st.sampled_from(["tanh", "linear"]))}, parent)
+    top = 0
+    if draw(st.booleans()):     # an add fed by the input
+        top = add({"kind": "add"}, 0, conv(0, channels, 1))
+    co, kernel = draw(st.integers(1, 3)), draw(st.sampled_from([1, 3]))
+    top = conv(top, co, kernel)
+    side -= kernel - 1          # odd kernels keep the side even for maxpool
+    if draw(st.booleans()):     # a conv skip branch
+        top = add({"kind": "add"}, top, conv(top, co, 1))
+    if draw(st.booleans()):
+        top = add({"kind": "maxpool"}, top)
+        side //= 2
+    top = add({"kind": "flatten"}, top)
+    if draw(st.booleans()):     # a dense skip branch
+        top = add({"kind": "add"}, top, add({"kind": "dense", "units": co * side * side,
+                                            "activation": "tanh"}, top))
+    if draw(st.booleans()):
+        top = add({"kind": "dense", "units": draw(st.integers(1, 5)), "activation": "tanh"}, top)
+    add({"kind": "dense", "units": draw(st.integers(2, 3)), "activation": "linear"}, top)
+    return spec, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(conv_dags())
+def test_oracle_matches_finite_diff_on_random_dags(case):
+    spec, seed, batch = case
+    rng = Rng(seed)
+    g = build(spec, rng)
+    x, t = random_case(g, rng, batch)
+    grads = backprop(g, forward(g, x), t)
+    fd = finite_diff(g, x, t)
+    for j in g.parametric_ids():
+        assert rel_error(grads.param[j], fd.param[j]) <= 1e-4, j
+    assert rel_error(grads.node[g.input], fd.node[g.input]) <= 1e-4
