@@ -33,7 +33,7 @@ mirrored psi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +63,8 @@ class _Parametric:
 
     def fprime(self, out: Tensor) -> Tensor | None:
         """f' at the pre-activation, from the node's output: for tanh,
-        1 - out^2, bit-identical to tensor.tanh_prime of the pre-activation
-        that gave out; None (identity) for linear."""
+        1 - out^2, bit-identical to 1 - np.tanh(a)**2 at the pre-activation
+        a that gave out; None (identity) for linear."""
         return 1.0 - out * out if self.activation == "tanh" else None
 
 
@@ -174,17 +174,6 @@ class Graph:
     output: int
     input: int
     shapes: list[tuple[int, ...]]
-    _children: list[list[int]] = field(default_factory=list)
-
-    def children(self, i: int) -> list[int]:
-        if not 0 <= i < len(self.nodes):
-            raise IndexError(f"node index {i} out of range (graph has {len(self.nodes)} nodes)")
-        return list(self._children[i])
-
-    def parents(self, i: int) -> list[int]:
-        if not 0 <= i < len(self.nodes):
-            raise IndexError(f"node index {i} out of range (graph has {len(self.nodes)} nodes)")
-        return list(self.parent_ids[i])
 
     def parametric_ids(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if isinstance(n, PARAMETRIC)]
@@ -271,11 +260,8 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
     if len(inputs) != 1:
         raise GraphError(f"graph must have exactly one input node, found {len(inputs)}")
 
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, ps in enumerate(parent_ids):
-        for p in ps:
-            children[p].append(i)
-    sinks = [i for i in range(n) if not children[i]]
+    has_child = {p for ps in parent_ids for p in ps}
+    sinks = [i for i in range(n) if i not in has_child]
     if len(sinks) != 1:
         raise GraphError(f"graph must have exactly one output node, found {len(sinks)}: {sinks}")
 
@@ -352,16 +338,14 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
         else:
             raise GraphError(f"node {i}: unknown kind {kind!r}")
 
-    g = Graph(
+    return Graph(
         nodes=nodes,
         parent_ids=parent_ids,
         topo_order=topo,
         output=sinks[0],
         input=inputs[0],
         shapes=shapes,
-        _children=children,
     )
-    return g
 
 
 def forward(g: Graph, x) -> Sweep:

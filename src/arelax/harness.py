@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -98,14 +98,16 @@ class ExperimentConfig:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
-    model = models.ModelSpec(**d.pop("model"))
-    ar = ARConfig(**d.pop("ar", {}))
-    gc = GradcheckOptions(**d.pop("gradcheck", {}))
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(model=model, ar=ar, gradcheck=gc, **d)
+    sections = {
+        "model": (models.ModelSpec, d.pop("model")),
+        "ar": (ARConfig, d.pop("ar", {})),
+        "gradcheck": (GradcheckOptions, d.pop("gradcheck", {})),
+    }
+    for name, (cls, keys) in [("config", (ExperimentConfig, d)), *sections.items()]:
+        unknown = set(keys) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    return ExperimentConfig(**{name: cls(**keys) for name, (cls, keys) in sections.items()}, **d)
 
 
 def config_from_file(path: str) -> ExperimentConfig:
@@ -358,7 +360,7 @@ class GradcheckEntry:
     check: str          # "ar_vs_oracle" | "oracle_vs_fd"
     error: float
     tolerance: float
-    node: int | None = None   # graph node with the worst error, when known
+    node: int           # graph node with the worst error
 
     @property
     def ok(self) -> bool:
@@ -378,35 +380,24 @@ class GradcheckReport:
         out = []
         for e in self.entries:
             mark = "ok  " if (e.ok or self.informational) else "FAIL"
-            at = f" node {e.node}" if e.node is not None else ""
-            out.append(f"{mark} {e.check:<14} {e.label:<28} err={e.error:.3e} tol={e.tolerance:.1e}{at}")
+            out.append(f"{mark} {e.check:<14} {e.label:<28} err={e.error:.3e} tol={e.tolerance:.1e} node {e.node}")
         worst = max(self.entries, key=lambda e: e.error / e.tolerance, default=None)
         if worst is not None:
-            at = f", node {worst.node}" if worst.node is not None else ""
-            out.append(f"worst: {worst.label} ({worst.check}{at}) err={worst.error:.3e}")
+            out.append(f"worst: {worst.label} ({worst.check}, node {worst.node}) err={worst.error:.3e}")
         return out
 
 
 def _check_graph(label: str, g: Graph, rng: Rng, cfg: ExperimentConfig,
-                 entries: list[GradcheckEntry], with_fd: bool) -> None:
+                 entries: list[GradcheckEntry]) -> None:
     gc = cfg.gradcheck
     x, target = random_case(g, rng, gc.batch)
     acts = forward(g, x)
     grads = oracle.backprop(g, acts, target)
-    ar_cfg = ARConfig(
-        eta_x=cfg.ar.eta_x, n_iters=gc.iters,
-        backwards_mode=cfg.ar.backwards_mode, backwards_scope=cfg.ar.backwards_scope,
-        nonlinearity_mode=cfg.ar.nonlinearity_mode, nonlinearity_scope=cfg.ar.nonlinearity_scope,
-        unfreeze_relax_deriv=cfg.ar.unfreeze_relax_deriv,
-        unfreeze_weight_deriv=cfg.ar.unfreeze_weight_deriv,
-        unfreeze_weight_activity=cfg.ar.unfreeze_weight_activity,
-    )
-    state = relaxation.run_relaxation(g, acts, target, ar_cfg)
+    state = relaxation.run_relaxation(g, acts, target, replace(cfg.ar, n_iters=gc.iters))
     errs = node_rel_errors(g, state, grads, gc.batch)
     worst_node = max(errs, key=errs.get)
-    entries.append(GradcheckEntry(label, "ar_vs_oracle", errs[worst_node], gc.tolerance, node=worst_node))
-    if with_fd:
-        entries.append(_fd_entry(label, g, x, target, grads, gc))
+    entries.append(GradcheckEntry(label, "ar_vs_oracle", errs[worst_node], gc.tolerance, worst_node))
+    entries.append(_fd_entry(label, g, x, target, grads, gc))
 
 
 def _fd_entry(label: str, g: Graph, x: Tensor, target: Tensor,
@@ -417,7 +408,7 @@ def _fd_entry(label: str, g: Graph, x: Tensor, target: Tensor,
     perrs = {j: rel_error(grads.param[j], fd.param[j]) for j in fd.param}
     perrs[g.input] = rel_error(grads.node[g.input], fd.node[g.input])
     worst_node = max(perrs, key=perrs.get)
-    return GradcheckEntry(label, "oracle_vs_fd", perrs[worst_node], gc.fd_tolerance, node=worst_node)
+    return GradcheckEntry(label, "oracle_vs_fd", perrs[worst_node], gc.fd_tolerance, worst_node)
 
 
 def gradcheck(cfg: ExperimentConfig) -> GradcheckReport:
@@ -435,19 +426,11 @@ def gradcheck(cfg: ExperimentConfig) -> GradcheckReport:
         spec = skip_dag_spec() if i == gc.graphs - 1 else random_chain_spec(rng, max_width=16)
         g = build(spec, rng)
         label = "skip_dag" if i == gc.graphs - 1 else f"chain_{i}"
-        _check_graph(label, g, rng, cfg, entries, with_fd=True)
+        _check_graph(label, g, rng, cfg, entries)
     if gc.check_model:
         rng = Rng(seed)
         g = build(models.reduced_spec(cfg.model), rng)
-        x, target = random_case(g, rng, gc.batch)
-        acts = forward(g, x)
-        grads = oracle.backprop(g, acts, target)
-        state = relaxation.run_relaxation(g, acts, target, ARConfig(eta_x=cfg.ar.eta_x, n_iters=gc.iters))
-        errs = node_rel_errors(g, state, grads, gc.batch)
-        worst_node = max(errs, key=errs.get)
-        entries.append(GradcheckEntry(f"{cfg.model.name}_reduced", "ar_vs_oracle",
-                                      errs[worst_node], gc.tolerance, node=worst_node))
-        entries.append(_fd_entry(f"{cfg.model.name}_reduced", g, x, target, grads, gc))
+        _check_graph(f"{cfg.model.name}_reduced", g, rng, cfg, entries)
     baseline = (
         cfg.ar.backwards_mode == "transpose"
         and cfg.ar.nonlinearity_mode == "exact"

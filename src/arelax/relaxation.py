@@ -130,7 +130,9 @@ class RelaxState:
     xbar, saved, eps_bar and fprime_bar never change during a phase; only x
     does. saved is the sweep's record (Sweep.saved): per node, what its VJP
     reuses, such as the im2col columns of a conv node's input (cols_bar)
-    and a max-pool node's argmax map (pool_idx).
+    and a max-pool node's argmax map (pool_idx). The library reads saved
+    directly; the cols_bar and pool_idx aliases stay because the benchmark's
+    per-node kernel cases (perfbench/kernels.py) read them.
     """
 
     xbar: list[Tensor]

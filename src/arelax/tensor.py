@@ -5,6 +5,8 @@ Shape violations raise ShapeError; a kernel that produces NaN/Inf raises
 NonFiniteError rather than letting it propagate silently.
 
 Conventions baked in here:
+  * Spatial kernels (conv2d, im2col, col2im, maxpool2d, maxpool2d_scatter)
+    take batched (B,C,H,W) input only.
   * conv2d is cross-correlation (no kernel flip), stride 1, valid padding.
   * maxpool2d is a fixed 2x2 window with stride 2; ties go to the lowest
     flat index inside the window.
@@ -67,13 +69,11 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # 2-D convolution (cross-correlation) and max pooling
 
-def _batched(x: Tensor, op: str, ndim: int = 3) -> tuple[Tensor, bool]:
+def _batched(x, op: str) -> Tensor:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == ndim:
-        return x[None], True
-    if x.ndim == ndim + 1:
-        return x, False
-    raise ShapeError(f"{op}: expected {ndim}-D or {ndim + 1}-D input, got {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"{op}: expected (B,C,H,W) input, got {x.shape}")
+    return x
 
 
 def im2col(x: Tensor, kh: int, kw: int) -> Tensor:
@@ -102,21 +102,20 @@ def col2im(cols: Tensor, c: int, kh: int, kw: int, h: int, w: int) -> Tensor:
 def conv2d(x, kernels) -> Tensor:
     """Valid, stride-1 cross-correlation.
 
-    x: (C_in,H,W) or (B,C_in,H,W); kernels: (C_out,C_in,kH,kW).
+    x: (B,C_in,H,W); kernels: (C_out,C_in,kH,kW).
     Output spatial extents are H-kH+1 by W-kW+1.
     """
     k = np.asarray(kernels, dtype=np.float64)
     if k.ndim != 4:
         raise ShapeError(f"conv2d: kernels must be 4-D (C_out,C_in,kH,kW), got {k.shape}")
-    x4, squeeze = _batched(x, "conv2d")
-    _, c, h, w = x4.shape
+    x = _batched(x, "conv2d")
+    _, c, h, w = x.shape
     _, ci, kh, kw = k.shape
     if ci != c:
         raise ShapeError(f"conv2d: channel mismatch: input {c} vs kernels {ci}")
     if kh > h or kw > w:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{w}")
-    out = conv2d_cols(im2col(x4, kh, kw), k, h - kh + 1, w - kw + 1)
-    return out[0] if squeeze else out
+    return conv2d_cols(im2col(x, kh, kw), k, h - kh + 1, w - kw + 1)
 
 
 def conv2d_cols(cols: Tensor, kernels: Tensor, hp: int, wp: int) -> Tensor:
@@ -129,52 +128,37 @@ def conv2d_cols(cols: Tensor, kernels: Tensor, hp: int, wp: int) -> Tensor:
 
 
 def maxpool2d(x) -> tuple[Tensor, Tensor]:
-    """2x2/stride-2 max pooling.
+    """2x2/stride-2 max pooling of (B,C,H,W) input.
 
     Returns (pooled, idx) where idx holds, per output cell, the flat index
     of the winning element inside its H*W input plane; ties break to the
     lowest flat index. The idx map is what routes derivatives back.
     """
-    x4, squeeze = _batched(x, "maxpool2d")
-    b, c, h, w = x4.shape
+    x = _batched(x, "maxpool2d")
+    b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d: extents must be even, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    win = x4.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2, 4)
+    win = x.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2, 4)
     k = win.argmax(axis=-1)
     pooled = np.take_along_axis(win, k[..., None], axis=-1)[..., 0]
     rows = 2 * np.arange(h2)[:, None] + k // 2
     colns = 2 * np.arange(w2)[None, :] + k % 2
-    idx = rows * w + colns
-    if squeeze:
-        return pooled[0], idx[0]
-    return pooled, idx
+    return pooled, rows * w + colns
 
 
 def maxpool2d_scatter(values, idx, height: int, width: int) -> Tensor:
     """Inverse routing of maxpool2d: place each pooled value at its recorded
     plane position, zeros elsewhere. Windows are disjoint so no collisions."""
-    v4, squeeze = _batched(values, "maxpool2d_scatter")
-    i4 = idx[None] if idx.ndim == 3 else idx
-    b, c = v4.shape[:2]
+    values = _batched(values, "maxpool2d_scatter")
+    b, c = values.shape[:2]
     out = np.zeros((b, c, height * width))
-    np.put_along_axis(out, i4.reshape(b, c, -1), v4.reshape(b, c, -1), axis=-1)
-    out = out.reshape(b, c, height, width)
-    return out[0] if squeeze else out
+    np.put_along_axis(out, idx.reshape(b, c, -1), values.reshape(b, c, -1), axis=-1)
+    return out.reshape(b, c, height, width)
 
 
 # ---------------------------------------------------------------------------
 # elementwise kernels
-
-def tanh(a) -> Tensor:
-    return _finite(np.tanh(np.asarray(a, dtype=np.float64)), "tanh")
-
-
-def tanh_prime(a) -> Tensor:
-    """Derivative of tanh evaluated at the pre-activation: 1 - tanh(a)^2."""
-    t = np.tanh(np.asarray(a, dtype=np.float64))
-    return 1.0 - t * t
-
 
 def add(a, b) -> Tensor:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)

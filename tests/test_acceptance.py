@@ -53,7 +53,7 @@ from arelax.oracle import backprop, finite_diff
 from arelax.relaxation import ARConfig, relax_step, run_relaxation, weight_update
 from arelax.tensor import Rng
 
-from conftest import make_mnist_dir, real_dataset_root, require_real_dataset
+from arelax_testkit import make_mnist_dir, real_dataset_root, require_real_dataset
 
 
 def _report(cid: str, ok: bool, detail: str) -> None:

@@ -16,7 +16,7 @@ from arelax.data import (
 )
 from arelax.tensor import Rng
 
-from conftest import (
+from arelax_testkit import (
     make_cifar10_dir,
     synth_class_images,
     write_idx_images,

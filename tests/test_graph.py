@@ -45,7 +45,7 @@ class TestBuild:
         g = build(skip_dag_spec(), Rng(0))
         add_ids = [i for i, n in enumerate(g.nodes) if isinstance(n, AddNode)]
         assert len(add_ids) == 1
-        assert len(g.parents(add_ids[0])) == 2
+        assert len(g.parent_ids[add_ids[0]]) == 2
 
     def test_two_sinks_rejected(self):
         spec = [
@@ -124,21 +124,23 @@ class TestBuild:
 class TestAdjacency:
     def test_chain_children(self):
         g = scalar_chain()
-        assert g.children(0) == [1]
-        assert g.children(1) == [2]
-        assert g.children(2) == []
+        assert g.parent_ids == [(), (0,), (1,)]
+        assert g.output == 2
 
     def test_skip_graph_parents(self):
         g = build(skip_dag_spec(), Rng(0))
-        assert g.parents(3) == [1, 2]
-        assert sorted(g.children(1)) == [2, 3]
+        assert g.parent_ids[3] == (1, 2)
+        assert [i for i, ps in enumerate(g.parent_ids) if 1 in ps] == [2, 3]
 
     def test_out_of_range_index(self):
-        g = scalar_chain()
-        with pytest.raises(IndexError):
-            g.children(99)
-        with pytest.raises(IndexError):
-            g.parents(-1)
+        for parent in (3, 99, -1):
+            spec = [
+                {"kind": "input", "shape": (2,)},
+                {"kind": "dense", "units": 2},
+                {"kind": "dense", "units": 2, "parents": [parent]},
+            ]
+            with pytest.raises(GraphError, match=f"parent index {parent} out of range"):
+                build(spec, Rng(0))
 
     def test_topo_order_is_linear_extension(self):
         g = build(skip_dag_spec(), Rng(1))

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from arelax import cli, oracle
+from arelax import cli, models, oracle, relaxation
+from arelax.graph import build, forward
 from arelax.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -16,14 +19,25 @@ from arelax.harness import (
     config_from_file,
     final_test_accuracy,
     gradcheck,
+    node_rel_errors,
+    random_case,
     read_metrics,
     run_experiment,
     write_metrics,
 )
 from arelax.models import ModelSpec
 from arelax.relaxation import ARConfig
+from arelax.tensor import Rng
 
-from conftest import make_mnist_dir
+from arelax_testkit import make_mnist_dir
+
+
+# one misspelt key inside each config section
+SECTION_TYPOS = [
+    ("model", {"name": "mlp4", "clas_count": 10}),
+    ("ar", {"eta": 0.1}),
+    ("gradcheck", {"graph": 3}),
+]
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +292,13 @@ class TestConfig:
                 "epochs": 1, "seeds": [0], "output": "m.csv", "typo_key": 1,
             })
 
+    @pytest.mark.parametrize("section,typo", SECTION_TYPOS)
+    def test_unknown_section_keys_rejected(self, section, typo):
+        d = {"model": {"name": "mlp4"}, "dataset": "mnist", "epochs": 1, "seeds": [0],
+             "output": "m.csv", section: typo}
+        with pytest.raises(ValueError, match=re.escape(f"unknown {section} keys: {sorted(set(typo) - {'name'})}")):
+            config_from_dict(d)
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             config_from_dict({
@@ -388,6 +409,24 @@ class TestGradcheck:
         report = gradcheck(self._cfg(tolerance=1e-18, check_model=False))
         assert not report.ok
 
+    @pytest.mark.parametrize("variant", [{"nonlinearity_mode": "dropped"},
+                                         {"backwards_mode": "learned_psi"}])
+    def test_reduced_model_relaxes_under_the_variant(self, variant):
+        cfg = self._cfg()
+        cfg.gradcheck = replace(cfg.gradcheck, graphs=3)
+        cfg.ar = ARConfig(**variant)
+        report = gradcheck(cfg)
+        entry = next(e for e in report.entries if e.label == "mlp4_reduced" and e.check == "ar_vs_oracle")
+        # the same case as gradcheck draws it, relaxed under the variant
+        rng = Rng(cfg.seeds[0])
+        g = build(models.reduced_spec(cfg.model), rng)
+        x, target = random_case(g, rng, cfg.gradcheck.batch)
+        acts = forward(g, x)
+        state = relaxation.run_relaxation(g, acts, target, replace(cfg.ar, n_iters=cfg.gradcheck.iters))
+        errs = node_rel_errors(g, state, oracle.backprop(g, acts, target), cfg.gradcheck.batch)
+        assert entry.error == max(errs.values())
+        assert entry.error > 1e-2     # the baseline rule would reach the oracle
+
     def test_variant_flags_make_report_informational(self):
         cfg = self._cfg(tolerance=1e-18, check_model=False)
         cfg.ar = ARConfig(backwards_mode="learned_psi")
@@ -447,6 +486,12 @@ class TestCli:
                                               "check_model": False})
         assert cli.main(["gradcheck", "--config", cfg_path, flag, value]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,typo", SECTION_TYPOS)
+    def test_config_typo_exit_code(self, synth_data_root, tmp_path, capsys, section, typo):
+        cfg_path = self._write_cfg(tmp_path, synth_data_root, **{section: typo})
+        assert cli.main(["gradcheck", "--config", cfg_path]) == 2
+        assert f"error: unknown {section} keys" in capsys.readouterr().err
 
     def test_bad_data_dir_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AR_DATA_DIR", raising=False)

@@ -8,7 +8,7 @@ from arelax.oracle import backprop
 from arelax.relaxation import ARConfig, run_relaxation
 from arelax.tensor import Rng
 
-from conftest import require_real_dataset
+from arelax_testkit import require_real_dataset
 from arelax import data as data_mod
 
 

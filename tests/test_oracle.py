@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arelax import models, oracle
 from arelax.graph import PARAMETRIC, AddNode, FlattenNode, MaxPoolNode, build, forward
 from arelax.harness import random_case, random_chain_spec, rel_error, skip_dag_spec
 from arelax.oracle import GradientSet, backprop, finite_diff, loss_mse
 from arelax.tensor import NonFiniteError, Rng, ShapeError
+
+from arelax_testkit import conv_dags
 
 
 def scalar_chain():
@@ -347,41 +348,6 @@ class TestStackedFiniteDiff:
         for j, b in before.items():
             assert g.nodes[j].weight.tobytes() == b, j
         assert x.tobytes() == x_before
-
-
-@st.composite
-def conv_dags(draw):
-    """A random small DAG of conv, maxpool, flatten, add and dense nodes,
-    with the seed and batch to draw its weights and case from."""
-    channels, side = draw(st.integers(1, 2)), draw(st.sampled_from([4, 6]))
-    spec = [{"kind": "input", "shape": (channels, side, side)}]
-
-    def add(item, *parents):
-        spec.append({**item, "parents": list(parents)})
-        return len(spec) - 1
-
-    def conv(parent, out_channels, kernel):
-        return add({"kind": "conv", "out_channels": out_channels, "kernel": kernel,
-                    "activation": draw(st.sampled_from(["tanh", "linear"]))}, parent)
-    top = 0
-    if draw(st.booleans()):     # an add fed by the input
-        top = add({"kind": "add"}, 0, conv(0, channels, 1))
-    co, kernel = draw(st.integers(1, 3)), draw(st.sampled_from([1, 3]))
-    top = conv(top, co, kernel)
-    side -= kernel - 1          # odd kernels keep the side even for maxpool
-    if draw(st.booleans()):     # a conv skip branch
-        top = add({"kind": "add"}, top, conv(top, co, 1))
-    if draw(st.booleans()):
-        top = add({"kind": "maxpool"}, top)
-        side //= 2
-    top = add({"kind": "flatten"}, top)
-    if draw(st.booleans()):     # a dense skip branch
-        top = add({"kind": "add"}, top, add({"kind": "dense", "units": co * side * side,
-                                            "activation": "tanh"}, top))
-    if draw(st.booleans()):
-        top = add({"kind": "dense", "units": draw(st.integers(1, 5)), "activation": "tanh"}, top)
-    add({"kind": "dense", "units": draw(st.integers(2, 3)), "activation": "linear"}, top)
-    return spec, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

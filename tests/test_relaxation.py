@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arelax import relaxation, tensor
 from arelax.graph import ConvNode, DenseNode, InputNode, MaxPoolNode, build, forward
@@ -17,6 +19,8 @@ from arelax.relaxation import (
     weight_update,
 )
 from arelax.tensor import NonFiniteError, Rng
+
+from arelax_testkit import conv_dags
 
 
 def scalar_chain():
@@ -210,7 +214,7 @@ class TestRelaxStep:
         acts = forward(g, x)
         cfg = ARConfig()
         s = init_state(g, acts, t, cfg)
-        first = g.children(g.input)[0]      # earliest guarded node
+        first = next(i for i, ps in enumerate(g.parent_ids) if g.input in ps)   # earliest guarded node
         s.x[first][0, 0] = bad
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
             relax_step(g, s, cfg, iteration=7)
@@ -228,6 +232,13 @@ class TestClosedForm:
         d = longest_relaxing_path(g)
         for n_iters in sorted({1, 2, d, d + 1, 50, 100, 500}):
             assert_engines_agree(g, acts, t, ARConfig(eta_x=eta_x, n_iters=n_iters))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(conv_dags(), st.sampled_from([1, 2, 7, 30]), st.sampled_from([0.1, 0.5, 1.0]))
+    def test_matches_step_by_step_on_random_dags(self, case, n_iters, eta_x):
+        spec, seed, batch = case
+        g, x, t = spec_case(spec, seed, batch)
+        assert_engines_agree(g, forward(g, x), t, ARConfig(eta_x=eta_x, n_iters=n_iters))
 
     @pytest.mark.parametrize("variant", [
         {"backwards_mode": "learned_psi"},

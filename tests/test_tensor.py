@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from arelax import tensor
+from arelax.graph import DenseNode
 from arelax.tensor import NonFiniteError, Rng, ShapeError
 
 
@@ -43,27 +44,27 @@ class TestMatmul:
 
 class TestConv2d:
     def test_zero_kernels(self):
-        x = np.ones((2, 4, 4))
+        x = np.ones((1, 2, 4, 4))
         out = tensor.conv2d(x, np.zeros((3, 2, 2, 2)))
-        np.testing.assert_array_equal(out, np.zeros((3, 3, 3)))
+        np.testing.assert_array_equal(out, np.zeros((1, 3, 3, 3)))
 
     def test_ones_summation(self):
-        out = tensor.conv2d(np.ones((1, 3, 3)), np.ones((1, 1, 2, 2)))
-        np.testing.assert_array_equal(out, np.full((1, 2, 2), 4.0))
+        out = tensor.conv2d(np.ones((1, 1, 3, 3)), np.ones((1, 1, 2, 2)))
+        np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 4.0))
 
     def test_unit_1x1_kernel_is_identity(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 5, 6))
+        x = rng.normal(size=(1, 1, 5, 6))
         out = tensor.conv2d(x, np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(out, x)
 
     def test_kernel_larger_than_input(self):
         with pytest.raises(ShapeError, match="larger than input"):
-            tensor.conv2d(np.ones((1, 2, 2)), np.ones((1, 1, 3, 3)))
+            tensor.conv2d(np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel"):
-            tensor.conv2d(np.ones((2, 4, 4)), np.ones((1, 3, 2, 2)))
+            tensor.conv2d(np.ones((1, 2, 4, 4)), np.ones((1, 3, 2, 2)))
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(2)
@@ -71,33 +72,44 @@ class TestConv2d:
         k = rng.normal(size=(2, 3, 3, 2))
         batched = tensor.conv2d(x, k)
         for b in range(4):
-            np.testing.assert_array_equal(batched[b], tensor.conv2d(x[b], k))
+            np.testing.assert_array_equal(batched[b], tensor.conv2d(x[b : b + 1], k)[0])
 
     def test_output_extents(self):
-        out = tensor.conv2d(np.zeros((1, 8, 6)), np.zeros((4, 1, 3, 3)))
-        assert out.shape == (4, 6, 4)
+        out = tensor.conv2d(np.zeros((2, 1, 8, 6)), np.zeros((4, 1, 3, 3)))
+        assert out.shape == (2, 4, 6, 4)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (1, 1, 3, 4, 4)])
+def test_spatial_kernels_take_4d_input_only(shape):
+    x = np.zeros(shape)
+    with pytest.raises(ShapeError, match=r"\(B,C,H,W\)"):
+        tensor.conv2d(x, np.zeros((1, 3, 2, 2)))
+    with pytest.raises(ShapeError, match=r"\(B,C,H,W\)"):
+        tensor.maxpool2d(x)
+    with pytest.raises(ShapeError, match=r"\(B,C,H,W\)"):
+        tensor.maxpool2d_scatter(x, np.zeros(shape, dtype=np.intp), 8, 8)
 
 
 class TestMaxPool:
     def test_simple_window(self):
-        pooled, idx = tensor.maxpool2d(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        assert pooled.shape == (1, 1, 1) and pooled[0, 0, 0] == 4.0
-        assert idx[0, 0, 0] == 3  # flat position (1,1) in the 2x2 plane
+        pooled, idx = tensor.maxpool2d(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        assert pooled.shape == (1, 1, 1, 1) and pooled[0, 0, 0, 0] == 4.0
+        assert idx[0, 0, 0, 0] == 3  # flat position (1,1) in the 2x2 plane
 
     def test_tie_breaks_to_first_element(self):
-        pooled, idx = tensor.maxpool2d(np.full((1, 2, 2), 7.0))
-        assert pooled[0, 0, 0] == 7.0
-        assert idx[0, 0, 0] == 0
+        pooled, idx = tensor.maxpool2d(np.full((1, 1, 2, 2), 7.0))
+        assert pooled[0, 0, 0, 0] == 7.0
+        assert idx[0, 0, 0, 0] == 0
 
     def test_negative_only_input(self):
-        x = np.array([[[-4.0, -1.0], [-3.0, -2.0]]])
+        x = np.array([[[[-4.0, -1.0], [-3.0, -2.0]]]])
         pooled, idx = tensor.maxpool2d(x)
-        assert pooled[0, 0, 0] == -1.0
-        assert idx[0, 0, 0] == 1
+        assert pooled[0, 0, 0, 0] == -1.0
+        assert idx[0, 0, 0, 0] == 1
 
     def test_odd_extents_rejected(self):
         with pytest.raises(ShapeError, match="even"):
-            tensor.maxpool2d(np.zeros((1, 3, 4)))
+            tensor.maxpool2d(np.zeros((1, 1, 3, 4)))
 
     def test_scatter_roundtrip_preserves_window_maxima(self):
         rng = np.random.default_rng(3)
@@ -118,18 +130,23 @@ class TestMaxPool:
         assert np.count_nonzero(scattered) <= pooled.size
 
 
+TANH_NODE = DenseNode(np.zeros((1, 1)), "tanh", np.zeros((1, 1)))
+
+
 class TestElementwise:
+    # the library's tanh derivative is _Parametric.fprime, taken from the
+    # node's output; these pin it against np.tanh at the pre-activation
     def test_tanh_analytic_points(self):
-        assert tensor.tanh(np.array([0.0]))[0] == 0.0
-        assert tensor.tanh_prime(np.array([0.0]))[0] == 1.0
+        assert np.tanh(0.0) == 0.0
+        assert TANH_NODE.fprime(np.tanh(np.array([0.0])))[0] == 1.0
 
     def test_tanh_saturation(self):
-        assert tensor.tanh(np.array([50.0]))[0] == pytest.approx(1.0)
-        assert tensor.tanh_prime(np.array([50.0]))[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.tanh(50.0) == pytest.approx(1.0)
+        assert TANH_NODE.fprime(np.tanh(np.array([50.0])))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_tanh_prime_identity_sampled(self):
         a = np.linspace(-4, 4, 101)
-        np.testing.assert_allclose(tensor.tanh_prime(a), 1 - np.tanh(a) ** 2, rtol=0, atol=0)
+        np.testing.assert_array_equal(TANH_NODE.fprime(np.tanh(a)), 1 - np.tanh(a) ** 2)
 
     def test_add(self):
         a, b = np.array([1.0, 2.0]), np.array([3.0, 5.0])
