@@ -9,7 +9,9 @@ Row conventions: batch = -1 marks a per-epoch summary; each epoch emits one
 train summary and one test summary, plus an untrained test row at epoch 0.
 Optional per-batch rows appear when log_every > 0, and always for batches
 that diverged (loss/accuracy nan, max_residual inf). Identical configs
-produce byte-identical CSVs.
+produce byte-identical CSVs. The file is opened before the first batch and
+each row is written as soon as it is produced, so a run that stops early
+keeps every row written so far.
 
 gradcheck() verifies the gradient chain on random small graphs and a
 reduced-width build of the configured model: relaxation equilibria against
@@ -22,7 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -75,8 +78,9 @@ class ExperimentConfig:
     gradcheck: GradcheckOptions = field(default_factory=GradcheckOptions)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        if (not isinstance(self.seeds, list) or not self.seeds
+                or any(not isinstance(s, int) or s < 0 for s in self.seeds)):
+            raise ValueError(f"seeds must be a non-empty list of non-negative ints, got {self.seeds!r}")
         if self.mode not in ("train", "gradcheck"):
             raise ValueError(f"mode must be 'train' or 'gradcheck', got {self.mode!r}")
         if self.epochs < 0:
@@ -97,17 +101,21 @@ class ExperimentConfig:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    sections = {
-        "model": (models.ModelSpec, d.pop("model")),
-        "ar": (ARConfig, d.pop("ar", {})),
-        "gradcheck": (GradcheckOptions, d.pop("gradcheck", {})),
-    }
-    for name, (cls, keys) in [("config", (ExperimentConfig, d)), *sections.items()]:
+    """Build a config from its JSON form; a missing or unknown key, or a
+    section that is not an object, raises ValueError naming the section."""
+    d = {"ar": {}, **d}
+    sections = {"model": models.ModelSpec, "ar": ARConfig, "gradcheck": GradcheckOptions}
+    for name, cls, keys in [("config", ExperimentConfig, d),
+                            *((sec, cls, d.get(sec, {})) for sec, cls in sections.items())]:
+        if not isinstance(keys, dict):
+            raise ValueError(f"{name} section must be an object, got {keys!r}")
         unknown = set(keys) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    return ExperimentConfig(**{name: cls(**keys) for name, (cls, keys) in sections.items()}, **d)
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING} - set(keys)
+        for what, bad in (("unknown", unknown), ("missing", missing)):
+            if bad:
+                raise ValueError(f"{what} {name} keys: {sorted(bad)}")
+    return ExperimentConfig(**{**d, **{sec: cls(**d[sec]) for sec, cls in sections.items() if sec in d}})
 
 
 def config_from_file(path: str) -> ExperimentConfig:
@@ -124,17 +132,15 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_metrics(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
+def write_metrics(path: str, rows: Iterable[dict]) -> None:
+    """Write the header, then each row as it arrives (line-buffered); a
+    field the row does not set is left empty."""
+    with open(path, "w", newline="", buffering=1) as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(CSV_HEADER)
         for r in rows:
-            w.writerow([
-                r["seed"], r["epoch"], r["batch"], r["split"],
-                _fmt(r.get("loss")), _fmt(r.get("accuracy")),
-                _fmt(r.get("max_residual")), _fmt(r.get("grad_angle")),
-                _fmt(r.get("psi_alignment")),
-            ])
+            w.writerow([r["seed"], r["epoch"], r["batch"], r["split"],
+                        *(_fmt(r.get(k)) for k in CSV_HEADER[4:])])
 
 
 def read_metrics(path: str) -> list[dict]:
@@ -234,22 +240,18 @@ def evaluate(g: Graph, d: data_mod.Dataset, batch_size: int) -> tuple[float, flo
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int,
-              train: data_mod.Dataset, test: data_mod.Dataset) -> list[dict]:
+              train: data_mod.Dataset, test: data_mod.Dataset) -> Iterator[dict]:
+    """Train one seed, yielding each metrics row as soon as it is known."""
     rng = Rng(seed)
     g = models.build_model(cfg.model, rng)
     learned = cfg.ar.backwards_mode == "learned_psi"
-    rows: list[dict] = []
 
-    def test_row(epoch: int):
-        loss, acc = evaluate(g, test, cfg.batch_size)
-        rows.append({
-            "seed": seed, "epoch": epoch, "batch": -1, "split": "test",
-            "loss": loss, "accuracy": acc, "max_residual": None,
-            "grad_angle": None,
-            "psi_alignment": psi_alignment(g, cfg.ar) if learned else None,
-        })
+    def summary(epoch: int, split: str, loss: float, acc: float, **extra) -> dict:
+        return {"seed": seed, "epoch": epoch, "batch": -1, "split": split,
+                "loss": loss, "accuracy": acc,
+                "psi_alignment": psi_alignment(g, cfg.ar) if learned else None, **extra}
 
-    test_row(0)
+    yield summary(0, "test", *evaluate(g, test, cfg.batch_size))
     for epoch in range(1, cfg.epochs + 1):
         losses, accs, angles = [], [], []
         max_residual = 0.0
@@ -268,33 +270,23 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
                     angles.append(angle)
                 relaxation.apply_updates(g, wd, pd)
             except (DivergenceError, NonFiniteError):
-                rows.append({
-                    "seed": seed, "epoch": epoch, "batch": bi, "split": "train",
-                    "loss": float("nan"), "accuracy": float("nan"),
-                    "max_residual": float("inf"), "grad_angle": None, "psi_alignment": None,
-                })
+                yield {"seed": seed, "epoch": epoch, "batch": bi, "split": "train",
+                       "loss": float("nan"), "accuracy": float("nan"), "max_residual": float("inf")}
                 max_residual = float("inf")
                 continue
             losses.append(batch_loss)
             accs.append(batch_acc)
             max_residual = max(max_residual, state.last_max_dx)
             if cfg.log_every and bi % cfg.log_every == 0:
-                rows.append({
-                    "seed": seed, "epoch": epoch, "batch": bi, "split": "train",
-                    "loss": batch_loss, "accuracy": batch_acc,
-                    "max_residual": state.last_max_dx, "grad_angle": angle,
-                    "psi_alignment": None,
-                })
-        rows.append({
-            "seed": seed, "epoch": epoch, "batch": -1, "split": "train",
-            "loss": float(np.mean(losses)) if losses else float("nan"),
-            "accuracy": float(np.mean(accs)) if accs else float("nan"),
-            "max_residual": max_residual,
-            "grad_angle": float(np.mean(angles)) if angles else None,
-            "psi_alignment": psi_alignment(g, cfg.ar) if learned else None,
-        })
-        test_row(epoch)
-    return rows
+                yield {"seed": seed, "epoch": epoch, "batch": bi, "split": "train",
+                       "loss": batch_loss, "accuracy": batch_acc,
+                       "max_residual": state.last_max_dx, "grad_angle": angle}
+        yield summary(epoch, "train",
+                      float(np.mean(losses)) if losses else float("nan"),
+                      float(np.mean(accs)) if accs else float("nan"),
+                      max_residual=max_residual,
+                      grad_angle=float(np.mean(angles)) if angles else None)
+        yield summary(epoch, "test", *evaluate(g, test, cfg.batch_size))
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
@@ -311,10 +303,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
             f"model {cfg.model.name} takes inputs of shape {models.input_shape(cfg.model)} "
             f"but {cfg.dataset} images have shape {train.images.shape[1:]}"
         )
-    rows: list[dict] = []
-    for seed in cfg.seeds:
-        rows.extend(_run_seed(cfg, seed, train, test))
-    write_metrics(cfg.output, rows)
+    write_metrics(cfg.output, (r for seed in cfg.seeds for r in _run_seed(cfg, seed, train, test)))
     return cfg.output
 
 

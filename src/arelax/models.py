@@ -60,10 +60,12 @@ def build_cnn(class_count: int, rng: Rng) -> graph.Graph:
     return graph.build(cnn_spec(class_count), rng)
 
 
+def _full_spec(spec: ModelSpec) -> list[dict]:
+    return (mlp4_spec if spec.name == "mlp4" else cnn_spec)(spec.class_count)
+
+
 def build_model(spec: ModelSpec, rng: Rng) -> graph.Graph:
-    if spec.name == "mlp4":
-        return build_mlp4(spec.class_count, rng)
-    return build_cnn(spec.class_count, rng)
+    return graph.build(_full_spec(spec), rng)
 
 
 def reduced_spec(spec: ModelSpec) -> list[dict]:
@@ -74,4 +76,5 @@ def reduced_spec(spec: ModelSpec) -> list[dict]:
 
 
 def input_shape(spec: ModelSpec) -> tuple[int, ...]:
-    return (1, 28, 28) if spec.name == "mlp4" else (3, 32, 32)
+    """Shape of one input sample, read from the model's own input node."""
+    return _full_spec(spec)[0]["shape"]

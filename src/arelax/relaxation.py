@@ -105,6 +105,9 @@ class ARConfig:
             raise ValueError(f"scopes must be one of {SCOPES}")
         if self.eta_psi is None:
             self.eta_psi = self.eta_theta
+        for name in ("eta_theta", "eta_psi"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def _in_scope(node, scope: str) -> bool:

@@ -32,6 +32,7 @@ itself. See README "Known limitations".
 
 import os
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ def test_c8_identical_config_gives_byte_identical_csv(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     run_experiment(_determinism_cfg(root, a))
     run_experiment(_determinism_cfg(root, b))
-    same = open(a, "rb").read() == open(b, "rb").read()
+    same = Path(a).read_bytes() == Path(b).read_bytes()
     _report("C8 determinism (synthetic data, real formats)",
             same, "metrics CSVs byte-identical" if same else "CSV bytes differ")
 
@@ -361,6 +362,6 @@ def test_c8_determinism_on_real_mnist(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     run_experiment(_determinism_cfg(root, a))
     run_experiment(_determinism_cfg(root, b))
-    same = open(a, "rb").read() == open(b, "rb").read()
+    same = Path(a).read_bytes() == Path(b).read_bytes()
     _report("C8 determinism (real MNIST subset)",
             same, "metrics CSVs byte-identical" if same else "CSV bytes differ")

@@ -3,6 +3,7 @@ import math
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ SECTION_TYPOS = [
     ("model", {"name": "mlp4", "clas_count": 10}),
     ("ar", {"eta": 0.1}),
     ("gradcheck", {"graph": 3}),
+]
+
+# a missing required key, or a section that is not an object: each edits a
+# valid config dict in place and names the section and key in its error
+MALFORMED_CONFIGS = [
+    pytest.param(lambda d: d.pop("model"), "missing config keys: ['model']", id="no_model"),
+    pytest.param(lambda d: d.pop("dataset"), "missing config keys: ['dataset']", id="no_dataset"),
+    pytest.param(lambda d: d.update(model={}), "missing model keys: ['name']", id="empty_model"),
+    pytest.param(lambda d: d.update(ar=5), "ar section must be an object", id="scalar_ar"),
 ]
 
 
@@ -84,6 +94,18 @@ class TestMetricsFormat:
         assert header == ",".join(CSV_HEADER)
         back = read_metrics(path)
         assert back[0]["loss"] == 1.5 and back[0]["grad_angle"] is None
+
+    def test_rows_reach_disk_as_they_arrive(self, tmp_path):
+        path = tmp_path / "stream.csv"
+
+        def rows():
+            yield {"seed": 0, "epoch": 0, "batch": -1, "split": "test", "loss": 1.5}
+            # the first row is on disk before the second is produced
+            assert path.read_text().splitlines() == [",".join(CSV_HEADER), "0,0,-1,test,1.5,,,,"]
+            yield {"seed": 0, "epoch": 1, "batch": -1, "split": "train", "grad_angle": 2.0}
+
+        write_metrics(str(path), rows())
+        assert path.read_text().splitlines()[2] == "0,1,-1,train,,,,2.0,"
 
     def test_one_summary_row_per_seed_epoch_split(self, baseline_run):
         rows, _ = baseline_run
@@ -153,6 +175,36 @@ class TestTraining:
         # the run still completes and reports a final evaluation
         assert final_test_accuracy(rows, 0) <= 0.35
 
+    def test_crash_keeps_rows_written_so_far(self, train_root, tmp_path, monkeypatch):
+        full, crashed = tmp_path / "full.csv", tmp_path / "crashed.csv"
+        cfg = replace(mnist_cfg(train_root, str(full), epochs=2), train_cap=256)
+        run_experiment(cfg)
+        real, calls = relaxation.weight_update, []
+
+        def fail_in_epoch_two(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6:   # 4 batches per epoch: epoch 2, batch 1
+                raise RuntimeError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(relaxation, "weight_update", fail_in_epoch_two)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_experiment(replace(cfg, output=str(crashed)))
+        # header, the epoch-0 test row, and the epoch-1 train and test rows
+        lines = crashed.read_text().splitlines()
+        assert lines == full.read_text().splitlines()[:4]
+        assert [tuple(line.split(",")[1:4]) for line in lines[1:]] == [
+            ("0", "-1", "test"), ("1", "-1", "train"), ("1", "-1", "test")]
+
+    def test_unwritable_output_fails_before_training(self, train_root, tmp_path, monkeypatch):
+        real, calls = relaxation.run_relaxation, []
+        monkeypatch.setattr(relaxation, "run_relaxation",
+                            lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs))
+        with pytest.raises(OSError):
+            run_experiment(replace(mnist_cfg(train_root, str(tmp_path / "missing" / "m.csv"),
+                                             epochs=1), train_cap=256))
+        assert calls == []
+
     def test_grad_angle_diagnostics_logged(self, train_root, tmp_path):
         # 100 relaxation iterations: the equilibrium is close enough that
         # parameter updates align with the true descent direction
@@ -171,7 +223,7 @@ class TestTraining:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run_experiment(mnist_cfg(train_root, a, epochs=1, seeds=(3,)))
         run_experiment(mnist_cfg(train_root, b, epochs=1, seeds=(3,)))
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_cnn_pipeline_on_cifar_format(self, synth_data_root, tmp_path):
         out = str(tmp_path / "cnn.csv")
@@ -299,6 +351,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"unknown {section} keys: {sorted(set(typo) - {'name'})}")):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("edit,message", MALFORMED_CONFIGS)
+    def test_malformed_config_rejected(self, edit, message):
+        d = {"model": {"name": "mlp4"}, "dataset": "mnist", "epochs": 1, "seeds": [0],
+             "output": "m.csv"}
+        edit(d)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict(d)
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             config_from_dict({
@@ -308,6 +368,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("batch_size", 0), ("log_every", -1), ("grad_angle_every", -1),
+        ("seeds", [0, -1]), ("seeds", [0, 1.5]), ("seeds", 3),
     ])
     def test_bad_run_setting_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -493,12 +554,21 @@ class TestCli:
         assert cli.main(["gradcheck", "--config", cfg_path]) == 2
         assert f"error: unknown {section} keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", MALFORMED_CONFIGS)
+    def test_malformed_config_exit_code(self, tmp_path, capsys, edit, message):
+        cfg_path = Path(self._write_cfg(tmp_path, None))
+        raw = json.loads(cfg_path.read_text())
+        edit(raw)
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["gradcheck", "--config", str(cfg_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_bad_data_dir_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AR_DATA_DIR", raising=False)
         cfg_path = self._write_cfg(tmp_path, None)
         # strip the data_dir key entirely
-        raw = json.loads(open(cfg_path).read())
+        raw = json.loads(Path(cfg_path).read_text())
         raw["data_dir"] = None
-        open(cfg_path, "w").write(json.dumps(raw))
+        Path(cfg_path).write_text(json.dumps(raw))
         assert cli.main(["run", "--config", cfg_path]) == 2
         assert "error:" in capsys.readouterr().err

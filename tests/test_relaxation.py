@@ -121,6 +121,8 @@ class TestARConfig:
         {"eta_x": 0.0}, {"eta_x": 1.5}, {"n_iters": 0},
         {"backwards_mode": "sideways"}, {"nonlinearity_mode": "sometimes"},
         {"backwards_scope": "pool"}, {"nonlinearity_scope": "pool"},
+        {"eta_theta": np.nan}, {"eta_theta": np.inf}, {"eta_theta": -1e-3},
+        {"eta_psi": np.nan}, {"eta_psi": -np.inf}, {"eta_psi": -1e-3},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
