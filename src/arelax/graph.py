@@ -107,8 +107,10 @@ class ConvNode(_Parametric):
         return [tensor.col2im(cols_grad, ci, kh, kw, hp + kh - 1, wp + kw - 1)]
 
     def outer(self, gz: Tensor, saved: Tensor) -> Tensor:
+        # one batched GEMM (on BLAS, unlike the equivalent einsum), then a
+        # sum over the batch
         gz_flat = gz.reshape(gz.shape[0], self.weight.shape[0], -1)
-        return np.einsum("bop,bkp->ok", gz_flat, saved).reshape(self.weight.shape)
+        return np.matmul(gz_flat, saved.transpose(0, 2, 1)).sum(0).reshape(self.weight.shape)
 
     @staticmethod
     def mirror(m: Tensor) -> Tensor:

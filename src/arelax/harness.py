@@ -24,8 +24,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+import types
 from collections.abc import Iterable, Iterator
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -100,9 +102,25 @@ class ExperimentConfig:
         return d
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a config field's annotation: an int is a
+    float but a bool is neither, X | None also takes None, and a list
+    checks each item. A section's dataclass is checked as an object."""
+    if get_origin(hint) in (Union, types.UnionType):
+        return any(_has_type(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if is_dataclass(hint):
+        return True
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build a config from its JSON form; a missing or unknown key, or a
-    section that is not an object, raises ValueError naming the section."""
+    """Build a config from its JSON form; a missing or unknown key, a value
+    of the wrong type for its field, or a section that is not an object
+    raises ValueError naming the section (and the key)."""
     d = {"ar": {}, **d}
     sections = {"model": models.ModelSpec, "ar": ARConfig, "gradcheck": GradcheckOptions}
     for name, cls, keys in [("config", ExperimentConfig, d),
@@ -115,6 +133,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         for what, bad in (("unknown", unknown), ("missing", missing)):
             if bad:
                 raise ValueError(f"{what} {name} keys: {sorted(bad)}")
+        for key, hint in get_type_hints(cls).items():
+            if key in keys and not _has_type(keys[key], hint):
+                kind = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ValueError(f"{name} key {key!r} must be {kind}, got {keys[key]!r}")
     return ExperimentConfig(**{**d, **{sec: cls(**d[sec]) for sec, cls in sections.items() if sec in d}})
 
 

@@ -136,6 +136,12 @@ class RelaxState:
     and a max-pool node's argmax map (pool_idx). The library reads saved
     directly; the cols_bar and pool_idx aliases stay because the benchmark's
     per-node kernel cases (perfbench/kernels.py) read them.
+
+    outers holds the batch-mean update outer products of the learned-psi
+    nodes, which weight_update computes and psi_update reads again. A key
+    is the node id plus the weight-side settings the product depends on
+    (see _update_outer). relax_step empties it, since it changes x; code
+    that writes x directly must empty it too.
     """
 
     xbar: list[Tensor]
@@ -144,6 +150,7 @@ class RelaxState:
     eps_bar: Tensor
     fprime_bar: dict[int, Tensor] = field(default_factory=dict)
     last_max_dx: float = float("inf")
+    outers: dict[tuple, Tensor] = field(default_factory=dict)
 
     @property
     def cols_bar(self) -> list:
@@ -204,6 +211,7 @@ def _transport(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> list[tuple[int
 def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0) -> RelaxState:
     """One synchronous update: all dx computed from pre-step values, then
     applied at once, so node iteration order never affects the result."""
+    s.outers.clear()
     incoming: dict[int, Tensor] = {}
     for j in g.topo_order:
         try:
@@ -232,14 +240,17 @@ def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0) ->
     return s
 
 
-def _longest_relaxing_path(g: Graph) -> int:
-    """D, the edge count of the longest path between non-input nodes; J^(D+1) = 0."""
+def _longest_relaxing_path(g: Graph) -> list[int]:
+    """depth[j], the edge count of the longest path of non-input nodes that
+    ends at node j (0 at the input). J^k sends a share at j k edges towards
+    the input, so it maps that share to zero when depth[j] < k; the longest
+    path D is max(depth), and J^(D+1) = 0."""
     depth = [0] * len(g.nodes)
     for j in g.topo_order:
         for p in g.parent_ids[j]:
             if p != g.input:
                 depth[j] = max(depth[j], depth[p] + 1)
-    return max(depth)
+    return depth
 
 
 def _cascade_coefficients(steps: int, depth: int, eta: float) -> list[tuple[float, float]]:
@@ -260,20 +271,37 @@ def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int) -> 
 
     Nodes are visited children first, so all of a node's incoming transport
     is in its accumulator before its own activity is read and replaced: each
-    sweep is synchronous without keeping a second copy of the activities."""
+    sweep is synchronous without keeping a second copy of the activities.
+
+    Sweeps are pruned by height. Sweep k's r is multiplied by J k more times
+    before it is read, and J^k zeroes a share at any node p with
+    depth[p] < k (_longest_relaxing_path). So sweep k computes r only at
+    nodes with depth >= k and transports only into parents with depth >= k;
+    a node with no such parent runs no VJP. The other entries of s.x are
+    stale until the sweep that reaches them, and sweep 0 sets them all. The
+    kept sums are the unpruned ones, in the same order, so the result is
+    bit-identical to unpruned sweeps; only an overflow in a pruned term is
+    no longer computed.
+    """
     relaxing = [j for j in reversed(g.topo_order) if j != g.input]
-    coeffs = _cascade_coefficients(steps, _longest_relaxing_path(g), cfg.eta_x)
+    depth = _longest_relaxing_path(g)
+    coeffs = _cascade_coefficients(steps, max(depth), cfg.eta_x)
     top = len(coeffs) - 1
     for k in range(top, -1, -1):
         a, ec = coeffs[k]
         acc: dict[int, Tensor] = {}
         for j in relaxing:
+            if depth[j] < k:
+                continue
             r = acc.pop(j) if j in acc else a * s.xbar[j]
             if j == g.output:
                 r -= ec * s.eps_bar
-            if k < top:     # the top term has no J r part
+            # the top term has no J r part
+            if k < top and any(p != g.input and depth[p] >= k for p in g.parent_ids[j]):
                 try:
                     for p, contribution in _transport(g, s, cfg, j):
+                        if depth[p] < k:
+                            continue
                         if p not in acc:
                             acc[p] = a * s.xbar[p]
                         acc[p] += contribution
@@ -312,11 +340,16 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
 
     in K transport sweeps instead of S steps, and relax_step takes the last
     step, so last_max_dx and the divergence guard come from the reference
-    code. The weight-side variants leave J unchanged and take this path.
+    code. Sweep k skips every node whose share J^k zeroes, those whose
+    longest chain of relaxing ancestors is shorter than k
+    (_closed_form_advance): on a chain of D + 1 relaxing nodes the sweeps
+    make D(D+1)/2 transports, not D^2. The weight-side variants leave J
+    unchanged and take this path.
     On it the guard sees the final state only, and a DivergenceError
     reports iteration n_iters - 1: a transient overshoot past
     DIVERGENCE_LIMIT that the step-by-step engine would flag is not
-    reported.
+    reported, and neither is an overflow in a pruned sweep term, which is
+    never computed.
     """
     s = init_state(g, acts, target, cfg)
     if cfg.unfreeze_relax_deriv:
@@ -329,11 +362,19 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
 
 def _update_outer(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> Tensor:
     """Batch-mean outer product between the (optionally f'-weighted) child
-    equilibrium activity and the parent activity; shaped like the weight."""
+    equilibrium activity and the parent activity; shaped like the weight.
+    At a learned-psi node it is kept in s.outers, where psi_update finds
+    the one weight_update computed."""
     node = g.nodes[j]
+    key = (j, cfg.unfreeze_weight_deriv, cfg.unfreeze_weight_activity, _drops_nonlinearity(node, cfg))
+    if key in s.outers:
+        return s.outers[key]
     child = _scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_weight_deriv)
     saved = node.forward(s.x, g.parent_ids[j])[1] if cfg.unfreeze_weight_activity else s.saved[j]
-    return node.outer(child, saved) / child.shape[0]
+    out = node.outer(child, saved) / child.shape[0]
+    if _uses_psi(node, cfg):
+        s.outers[key] = out
+    return out
 
 
 def weight_update(g: Graph, s: RelaxState, cfg: ARConfig) -> dict[int, Tensor]:

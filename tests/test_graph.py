@@ -197,3 +197,32 @@ class TestForward:
         out = h @ g.nodes[2].weight.T
         np.testing.assert_array_equal(acts[1], h)
         np.testing.assert_array_equal(acts[2], out)
+
+
+def _conv_outer_cases():
+    """(batch, ci, co, (h, w), (kh, kw)): B=1 and non-square kernels, then
+    seeded random shapes."""
+    cases = [(1, 1, 1, (5, 5), (3, 3)), (1, 3, 4, (7, 9), (2, 4)), (4, 2, 5, (8, 6), (5, 1))]
+    rng = Rng(5)
+    for _ in range(12):
+        h, w = rng.integers(1, 12), rng.integers(1, 12)
+        cases.append((rng.integers(1, 7), rng.integers(1, 5), rng.integers(1, 7), (h, w),
+                      (rng.integers(1, h + 1), rng.integers(1, w + 1))))
+    return cases
+
+
+class TestConvOuter:
+    @pytest.mark.parametrize("batch,ci,co,hw,kernel", _conv_outer_cases())
+    def test_matches_einsum_reference(self, batch, ci, co, hw, kernel):
+        rng = Rng(batch * 100 + ci * 10 + co)
+        g = build([{"kind": "input", "shape": (ci, *hw)},
+                   {"kind": "conv", "out_channels": co, "kernel": list(kernel)}], rng)
+        node = g.nodes[1]
+        acts = forward(g, rng.normal((batch, ci, *hw)))
+        gz = rng.normal(acts[1].shape)
+        cols = acts.saved[1]
+        # the contraction written out: sum over batch and output position
+        want = np.einsum("bop,bkp->ok", gz.reshape(batch, co, -1), cols).reshape(node.weight.shape)
+        got = node.outer(gz, cols)
+        assert got.shape == node.weight.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

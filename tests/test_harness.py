@@ -40,13 +40,29 @@ SECTION_TYPOS = [
     ("gradcheck", {"graph": 3}),
 ]
 
-# a missing required key, or a section that is not an object: each edits a
-# valid config dict in place and names the section and key in its error
+# a missing required key, a section that is not an object, or a value of
+# the wrong type for its field: each edits a valid config dict in place and
+# names the section and key in its error
 MALFORMED_CONFIGS = [
     pytest.param(lambda d: d.pop("model"), "missing config keys: ['model']", id="no_model"),
     pytest.param(lambda d: d.pop("dataset"), "missing config keys: ['dataset']", id="no_dataset"),
     pytest.param(lambda d: d.update(model={}), "missing model keys: ['name']", id="empty_model"),
     pytest.param(lambda d: d.update(ar=5), "ar section must be an object", id="scalar_ar"),
+    pytest.param(lambda d: d.update(epochs="3"), "config key 'epochs' must be int", id="str_epochs"),
+    pytest.param(lambda d: d.update(ar={"eta_x": "0.1"}), "ar key 'eta_x' must be float", id="str_eta_x"),
+    pytest.param(lambda d: d.update(gradcheck={"graphs": "2"}), "gradcheck key 'graphs' must be int",
+                 id="str_graphs"),
+    pytest.param(lambda d: d.update(ar={"unfreeze_relax_deriv": "no"}),
+                 "ar key 'unfreeze_relax_deriv' must be bool", id="str_flag"),
+    pytest.param(lambda d: d.update(ar={"n_iters": 50.5}), "ar key 'n_iters' must be int", id="float_n_iters"),
+    pytest.param(lambda d: d.update(batch_size=True), "config key 'batch_size' must be int", id="bool_batch_size"),
+    pytest.param(lambda d: d.update(ar={"eta_theta": False}), "ar key 'eta_theta' must be float",
+                 id="bool_eta_theta"),
+    pytest.param(lambda d: d.update(model={"name": "mlp4", "class_count": 10.0}),
+                 "model key 'class_count' must be int", id="float_class_count"),
+    pytest.param(lambda d: d.update(output=None), "config key 'output' must be str", id="null_output"),
+    pytest.param(lambda d: d.update(data_dir=3), "config key 'data_dir' must be str | None", id="int_data_dir"),
+    pytest.param(lambda d: d.update(seeds=[0, True]), "config key 'seeds' must be list[int]", id="bool_seed"),
 ]
 
 
@@ -358,6 +374,26 @@ class TestConfig:
         edit(d)
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("key,value,read", [
+        ("ar", {"eta_x": 1, "eta_psi": None}, lambda c: (c.ar.eta_x, c.ar.eta_psi) == (1, c.ar.eta_theta)),
+        ("ar", {"unfreeze_weight_deriv": True}, lambda c: c.ar.unfreeze_weight_deriv is True),
+        ("gradcheck", {"tolerance": 1}, lambda c: c.gradcheck.tolerance == 1),
+        ("train_cap", None, lambda c: c.train_cap is None),
+        ("data_dir", "/data", lambda c: c.data_dir == "/data"),
+    ])
+    def test_well_typed_values_accepted(self, key, value, read):
+        # an int is a float, and X | None fields take None
+        cfg = config_from_dict({"model": {"name": "mlp4"}, "dataset": "mnist", "epochs": 1,
+                                "seeds": [0], "output": "m.csv", key: value})
+        assert read(cfg)
+
+    def test_shipped_configs_load(self):
+        # a config edit the loader rejects fails here, not at the start of a run
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            assert config_from_file(str(path)).output, path.name
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):

@@ -1,9 +1,12 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arelax import relaxation, tensor
+from arelax import models, relaxation, tensor
 from arelax.graph import ConvNode, DenseNode, InputNode, MaxPoolNode, build, forward
 from arelax.harness import node_rel_errors, random_case, random_chain_spec, rel_error, skip_dag_spec
 from arelax.oracle import backprop, loss_mse
@@ -318,6 +321,133 @@ class TestClosedForm:
                 continue
             sent = [p for p, _ in relaxation._transport(g, s, cfg, j)]
             assert sent == [p for p in g.parent_ids[j] if p != g.input]
+
+
+def linear_chain(n_relaxing: int, weights=None):
+    """input -> n_relaxing linear 1-unit dense nodes; longest relaxing path
+    n_relaxing - 1."""
+    spec = [{"kind": "input", "shape": (1,)}]
+    for w in weights or [0.5] * n_relaxing:
+        spec.append({"kind": "dense", "units": 1, "activation": "linear", "weight": [[w]], "psi": [[1.0]]})
+    return build(spec)
+
+
+class TestHeightPruning:
+    """Horner sweep k transports only into nodes whose share J^k keeps."""
+
+    @pytest.mark.parametrize("name, n_iters, node, calls", [
+        ("mlp4", 100, 2, 2),    # first dense layer into flatten: sweep 0 and the last step
+        ("cnn", 50, 3, 3),      # conv2 into the pool: sweeps 1 and 0 and the last step
+    ])
+    def test_vjp_calls_per_relaxation(self, monkeypatch, name, n_iters, node, calls):
+        rng = Rng(90)
+        g = models.build_model(models.ModelSpec(name), rng)
+        x, t = random_case(g, rng, 2)
+        acts = forward(g, x)
+        seen = []
+        vjp = g.nodes[node].vjp
+        monkeypatch.setattr(g.nodes[node], "vjp", lambda *a: seen.append(1) or vjp(*a))
+        run_relaxation(g, acts, t, ARConfig(n_iters=n_iters))
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_chain_sweeps_make_triangular_transports(self, monkeypatch, d):
+        g = linear_chain(d + 1)
+        acts = forward(g, [[1.0]])
+        calls = []
+        vjp = DenseNode.vjp
+        monkeypatch.setattr(DenseNode, "vjp", lambda *a: calls.append(1) or vjp(*a))
+        monkeypatch.setattr(relaxation, "relax_step", lambda g, s, cfg, iteration: s)
+        run_relaxation(g, acts, [[0.0]], ARConfig(n_iters=50))
+        assert len(calls) == d * (d + 1) // 2
+
+    def test_overflow_in_a_pruned_term_is_not_computed(self):
+        # eta_x = 1, T = 3: sweep 1 would send xbar = 1e200 at node 2 through
+        # W = 1e200 into node 1, whose share J^1 zeroes. The kept terms are
+        # finite, so the closed form returns the exact state while the
+        # step-by-step engine overflows at its first step.
+        g = linear_chain(3, weights=[1.0, 1e200, 1e-200])
+        acts = forward(g, [[1.0]])
+        cfg = ARConfig(eta_x=1.0, n_iters=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # an overflow would warn
+            s = run_relaxation(g, acts, [[0.0]], cfg)
+        assert [float(a[0, 0]) for a in s.x[1:]] == [1.0, 1e-200, 1.0]
+        assert s.last_max_dx == 0.0
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+            step_by_step(g, acts, [[0.0]], cfg)
+        assert (exc.value.node, exc.value.iteration) == (1, 0)
+
+
+def conv_psi_case():
+    g, x, t = GRAPHS["conv_pool"]()
+    return g, forward(g, x), t, ARConfig(n_iters=30, backwards_mode="learned_psi", backwards_scope="conv")
+
+
+class TestOuterCache:
+    """weight_update and psi_update share one outer product per node."""
+
+    def test_transpose_caches_nothing(self):
+        g, x, t = GRAPHS["conv_pool"]()
+        cfg = ARConfig(n_iters=30)
+        s = run_relaxation(g, forward(g, x), t, cfg)
+        weight_update(g, s, cfg)
+        assert s.outers == {}
+
+    def test_one_conv_outer_per_node_per_update(self, monkeypatch):
+        g, acts, t, cfg = conv_psi_case()
+        s = run_relaxation(g, acts, t, cfg)
+        calls = []
+        outer = ConvNode.outer
+        monkeypatch.setattr(ConvNode, "outer", lambda node, *a: calls.append(id(node)) or outer(node, *a))
+        weight_update(g, s, cfg)
+        psi_update(g, s, cfg)
+        convs = [id(n) for n in g.nodes if isinstance(n, ConvNode)]
+        assert sorted(calls) == sorted(convs)
+
+    @pytest.mark.parametrize("graph", ["conv_pool", "skip_dag"])
+    def test_psi_delta_is_the_mirrored_weight_delta(self, graph):
+        g, x, t = GRAPHS[graph]()
+        cfg = ARConfig(n_iters=30, backwards_mode="learned_psi", eta_theta=0.01, eta_psi=0.01)
+        s = run_relaxation(g, forward(g, x), t, cfg)
+        wd, pd = weight_update(g, s, cfg), psi_update(g, s, cfg)
+        assert pd.keys() == wd.keys()
+        for j in pd:
+            np.testing.assert_array_equal(pd[j], g.nodes[j].mirror(wd[j]))
+
+    def test_relax_step_empties_the_cache(self):
+        g, acts, t, cfg = conv_psi_case()
+        s = run_relaxation(g, acts, t, cfg)
+        first = weight_update(g, s, cfg)
+        relax_step(g, s, cfg, iteration=cfg.n_iters)
+        second = weight_update(g, s, cfg)
+        fresh = init_state(g, acts, t, cfg)
+        fresh.x = [a.copy() for a in s.x]
+        want = weight_update(g, fresh, cfg)
+        for j in want:
+            np.testing.assert_array_equal(second[j], want[j])
+            assert not np.array_equal(second[j], first[j])
+
+    @pytest.mark.parametrize("variant", [
+        {"unfreeze_weight_deriv": True},
+        {"unfreeze_weight_activity": True},
+        {"nonlinearity_mode": "dropped"},
+        {"nonlinearity_mode": "dropped", "nonlinearity_scope": "dense"},
+    ])
+    def test_weight_side_settings_are_part_of_the_key(self, variant):
+        # one state updated under the baseline, then under a variant, gives
+        # the variant's updates as a fresh state would
+        g, acts, t, cfg = conv_psi_case()
+        s = run_relaxation(g, acts, t, cfg)
+        weight_update(g, s, cfg)
+        psi_update(g, s, cfg)
+        other = replace(cfg, **variant)
+        fresh = init_state(g, acts, t, other)
+        fresh.x = [a.copy() for a in s.x]
+        for update in (weight_update, psi_update):
+            got, want = update(g, s, other), update(g, fresh, other)
+            for j in want:
+                np.testing.assert_array_equal(got[j], want[j])
 
 
 class TestSweepRecord:
