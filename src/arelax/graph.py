@@ -29,6 +29,11 @@ Dense and conv also have outer (the batch-summed parameter gradient) and
 mirror (the psi <-> W layout switch); their vjp takes the pre-activation
 cotangent and an optional back matrix in W's layout (W by default, or the
 mirrored psi).
+
+A conv node saves its input's im2col columns, which are stored
+channel-major as one (C_in*kH*kW, B*H'*W') buffer (tensor.im2col), so its
+forward, vjp and outer are each plain 2-D GEMMs over the B*H'*W' columns;
+ConvNode says how.
 """
 
 from __future__ import annotations
@@ -90,7 +95,17 @@ class DenseNode(_Parametric):
 @dataclass
 class ConvNode(_Parametric):
     """weight (C_out, C_in, kH, kW); psi the same shape, since a kernel
-    transports through the transposed-convolution position unchanged."""
+    transports through the transposed-convolution position unchanged.
+
+    saved is the input's im2col columns, a (B, K, P) view of a
+    channel-major (K, B*P) buffer, K = C_in*kH*kW and P = H'*W'. forward is
+    one (C_out, K) @ (K, B*P) GEMM; outer one (C_out, B*P) @ (B*P, K) GEMM,
+    whose inner sum runs over batch and position together; vjp one
+    (C_in, C_out) @ (C_out, B*P) GEMM per kernel offset, added into the
+    (C_in, B, H, W) input-gradient window that offset covers and transposed
+    once at the end, so no patch-column gradient is built and no col2im
+    scatter runs.
+    """
 
     def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
         x = acts[ps[0]]
@@ -102,15 +117,22 @@ class ConvNode(_Parametric):
     def vjp(self, gz: Tensor, saved: Tensor, back: Tensor | None = None) -> list[Tensor]:
         co, ci, kh, kw = self.weight.shape
         b, _, hp, wp = gz.shape
-        k = (self.weight if back is None else back).reshape(co, -1)
-        cols_grad = np.matmul(k.T[None], gz.reshape(b, co, -1))
-        return [tensor.col2im(cols_grad, ci, kh, kw, hp + kh - 1, wp + kw - 1)]
+        # k[u, v] is the (ci, co) back matrix of kernel offset (u, v); the
+        # offsets are added in col2im's order
+        k = (self.weight if back is None else back).transpose(2, 3, 1, 0).copy()
+        gzc = gz.transpose(1, 0, 2, 3).reshape(co, -1)
+        part = np.empty((ci, gzc.shape[1]))
+        out = np.zeros((ci, b, hp + kh - 1, wp + kw - 1))
+        for u in range(kh):
+            for v in range(kw):
+                np.matmul(k[u, v], gzc, out=part)
+                out[:, :, u : u + hp, v : v + wp] += part.reshape(ci, b, hp, wp)
+        return [np.ascontiguousarray(out.transpose(1, 0, 2, 3))]
 
     def outer(self, gz: Tensor, saved: Tensor) -> Tensor:
-        # one batched GEMM (on BLAS, unlike the equivalent einsum), then a
-        # sum over the batch
-        gz_flat = gz.reshape(gz.shape[0], self.weight.shape[0], -1)
-        return np.matmul(gz_flat, saved.transpose(0, 2, 1)).sum(0).reshape(self.weight.shape)
+        # one (co, B*P) @ (B*P, K) GEMM: the batch sum is inside the product
+        gzc = gz.transpose(1, 0, 2, 3).reshape(self.weight.shape[0], -1)
+        return (gzc @ tensor.col_matrix(saved).T).reshape(self.weight.shape)
 
     @staticmethod
     def mirror(m: Tensor) -> Tensor:
@@ -161,7 +183,8 @@ class Sweep(list):
     """One feedforward sweep: the per-node activations, indexed by node id,
     and `saved`, per node, what its forward computed and its VJP reuses:
     the input in GEMM layout (dense: the input itself, conv: its im2col
-    columns), the argmax map (maxpool), None elsewhere."""
+    columns, (B, K, P)-shaped over a channel-major buffer), the argmax map
+    (maxpool), None elsewhere."""
 
     def __init__(self, acts: list[Tensor], saved: list):
         super().__init__(acts)

@@ -7,6 +7,15 @@ NonFiniteError rather than letting it propagate silently.
 Conventions baked in here:
   * Spatial kernels (conv2d, im2col, col2im, maxpool2d, maxpool2d_scatter)
     take batched (B,C,H,W) input only.
+  * im2col's patch columns are (B, C*kh*kw, H'*W')-shaped but stored
+    channel-major: they view one C-contiguous (C*kh*kw, B*H'*W') buffer,
+    which col_matrix returns without a copy, so conv2d_cols and the conv
+    node's outer product are single 2-D GEMMs.
+  * The library does not call col2im: the conv node's VJP adds one GEMM per
+    kernel offset into the input gradient instead. col2im stays as the
+    written-out reference of that transport, which the conv VJP test and
+    the benchmark's per-node kernel cases (perfbench/kernels.py) use, until
+    those cases are rebuilt from the node kinds' own kernels.
   * conv2d is cross-correlation (no kernel flip), stride 1, valid padding.
   * maxpool2d is a fixed 2x2 window with stride 2; ties go to the lowest
     flat index inside the window.
@@ -77,14 +86,25 @@ def _batched(x, op: str) -> Tensor:
 
 
 def im2col(x: Tensor, kh: int, kw: int) -> Tensor:
-    """Unfold (B,C,H,W) into patch columns of shape (B, C*kh*kw, H'*W')."""
+    """Unfold (B,C,H,W) into patch columns of shape (B, C*kh*kw, H'*W').
+
+    The result is a transposed view of one C-contiguous channel-major
+    buffer of shape (C*kh*kw, B*H'*W'), which col_matrix returns, so a
+    conv's forward GEMM and its weight outer product are plain 2-D GEMMs.
+    """
     b, c, h, w = x.shape
     hp, wp = h - kh + 1, w - kw + 1
     s0, s1, s2, s3 = x.strides
     win = np.lib.stride_tricks.as_strided(
-        x, (b, c, kh, kw, hp, wp), (s0, s1, s2, s3, s2, s3), writeable=False
+        x, (c, kh, kw, b, hp, wp), (s1, s2, s3, s0, s2, s3), writeable=False
     )
-    return np.ascontiguousarray(win).reshape(b, c * kh * kw, hp * wp)
+    return np.ascontiguousarray(win).reshape(c * kh * kw, b, hp * wp).transpose(1, 0, 2)
+
+
+def col_matrix(cols: Tensor) -> Tensor:
+    """im2col's columns (B, K, P) as the (K, B*P) matrix they view; a copy
+    only when cols is not such a view."""
+    return cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
 
 
 def col2im(cols: Tensor, c: int, kh: int, kw: int, h: int, w: int) -> Tensor:
@@ -120,11 +140,12 @@ def conv2d(x, kernels) -> Tensor:
 
 def conv2d_cols(cols: Tensor, kernels: Tensor, hp: int, wp: int) -> Tensor:
     """conv2d's GEMM on im2col columns (B, C_in*kH*kW, hp*wp) of its input:
-    the (B, C_out, hp, wp) output."""
+    one (C_out, K) @ (K, B*hp*wp) product, transposed once into the
+    C-contiguous (B, C_out, hp, wp) output."""
     co = kernels.shape[0]
     with _quiet():
-        out = np.matmul(kernels.reshape(co, -1)[None], cols).reshape(cols.shape[0], co, hp, wp)
-        return _finite(out, "conv2d")
+        out = _finite(kernels.reshape(co, -1) @ col_matrix(cols), "conv2d")
+    return np.ascontiguousarray(out.reshape(co, cols.shape[0], hp, wp).transpose(1, 0, 2, 3))
 
 
 def maxpool2d(x) -> tuple[Tensor, Tensor]:

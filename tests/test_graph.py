@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arelax import graph
+from arelax import graph, tensor
 from arelax.graph import AddNode, GraphError, build, forward
 from arelax.harness import skip_dag_spec
 from arelax.tensor import Rng, ShapeError
@@ -226,3 +226,48 @@ class TestConvOuter:
         got = node.outer(gz, cols)
         assert got.shape == node.weight.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _conv_vjp_cases():
+    """(batch, ci, co, (h, w), (kh, kw)): B=1, ci=1, non-square kernels and
+    kernels the size of the input, then seeded random shapes."""
+    cases = [(1, 1, 1, (5, 5), (3, 3)), (1, 3, 4, (7, 9), (2, 4)), (4, 1, 5, (8, 6), (5, 1)),
+             (2, 2, 3, (6, 4), (6, 4)), (3, 1, 2, (1, 7), (1, 7))]
+    rng = Rng(6)
+    for _ in range(10):
+        h, w = rng.integers(1, 12), rng.integers(1, 12)
+        cases.append((rng.integers(1, 7), rng.integers(1, 5), rng.integers(1, 7), (h, w),
+                      (rng.integers(1, h + 1), rng.integers(1, w + 1))))
+    return cases
+
+
+class TestConvVjp:
+    def _case(self, batch, ci, co, hw, kernel):
+        rng = Rng(batch * 100 + ci * 10 + co)
+        g = build([{"kind": "input", "shape": (ci, *hw)},
+                   {"kind": "conv", "out_channels": co, "kernel": list(kernel)}], rng)
+        x = rng.normal((batch, ci, *hw))
+        acts = forward(g, x)
+        return g.nodes[1], x, acts.saved[1], rng.normal(acts[1].shape)
+
+    @pytest.mark.parametrize("back", [None, "psi"])
+    @pytest.mark.parametrize("batch,ci,co,hw,kernel", _conv_vjp_cases())
+    def test_matches_col2im_reference(self, batch, ci, co, hw, kernel, back):
+        node, x, saved, gz = self._case(batch, ci, co, hw, kernel)
+        k = node.weight if back is None else node.mirror(node.psi)
+        # the transport written out: every patch column's gradient, then
+        # scattered back onto the input
+        cols_grad = np.matmul(k.reshape(co, -1).T[None], gz.reshape(batch, co, -1))
+        want = tensor.col2im(cols_grad, ci, *kernel, *hw)
+        [got] = node.vjp(gz, saved, None if back is None else k)
+        assert got.shape == x.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("back", [None, "psi"])
+    @pytest.mark.parametrize("batch,ci,co,hw,kernel", _conv_vjp_cases())
+    def test_adjoint_of_the_convolution(self, batch, ci, co, hw, kernel, back):
+        node, x, saved, gz = self._case(batch, ci, co, hw, kernel)
+        k = node.weight if back is None else node.mirror(node.psi)
+        forward_side = np.vdot(tensor.conv2d(x, k), gz)
+        [vx] = node.vjp(gz, saved, None if back is None else k)
+        assert abs(forward_side - np.vdot(x, vx)) <= 1e-12 * abs(forward_side)

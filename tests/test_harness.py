@@ -530,6 +530,14 @@ class TestGradcheck:
         report = gradcheck(cfg)
         assert report.informational and report.ok
 
+    def test_variant_flags_keep_finite_differences_gated(self):
+        cfg = self._cfg(fd_tolerance=1e-18, check_model=False)
+        cfg.ar = ARConfig(backwards_mode="learned_psi")
+        report = gradcheck(cfg)
+        assert report.informational and report.ok is False
+        fails = [line for line in report.lines() if line.startswith("FAIL")]
+        assert fails and all("oracle_vs_fd" in line for line in fails)
+
 
 class TestCli:
     def _write_cfg(self, tmp_path, root, **overrides):
@@ -575,6 +583,15 @@ class TestCli:
                                               "check_model": False})
         assert cli.main(["gradcheck", "--config", cfg_path, "--tol", "1e-18"]) == 1
         assert "FAILED" in capsys.readouterr().out
+
+    def test_gradcheck_variant_fd_failure_exit_code(self, synth_data_root, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, synth_data_root,
+                                   ar={"n_iters": 10, "backwards_mode": "learned_psi"},
+                                   gradcheck={"graphs": 3, "batch": 2, "iters": 400,
+                                              "check_model": False, "fd_tolerance": 1e-18})
+        assert cli.main(["gradcheck", "--config", cfg_path]) == 1
+        out = capsys.readouterr().out
+        assert "oracle_vs_fd is still gated" in out and "gradcheck FAILED" in out
 
     @pytest.mark.parametrize("flag,value,key", [("--iters", "0", "iters"), ("--tol", "-1", "tolerance")])
     def test_gradcheck_override_validated(self, synth_data_root, tmp_path, capsys, flag, value, key):

@@ -3,9 +3,9 @@
 perfbench/workloads.py wraps layer functions in spans by (module,
 attribute), and perfbench/kernels.py builds its per-node cases from the
 graph's node kinds and the relaxation state. A library refactor that
-renames either breaks `perfbench/run.py --trace 1` only at benchmark time;
-these tests catch it here. The benchmark's files are imported, never
-changed.
+renames either, or changes the layout of what the cases read, breaks
+`perfbench/run.py --trace 1` only at benchmark time; these tests catch it
+here. The benchmark's files are imported, never changed.
 """
 
 import importlib
@@ -50,3 +50,8 @@ def test_kernel_cases_build(bench, model):
     assert {"matmul", "outer"} <= kinds
     if model == "cnn":
         assert {"conv2d", "im2col", "col2im", "maxpool2d_scatter"} <= kinds
+    # the cases read the library's saved record (the conv columns through
+    # RelaxState.cols_bar, the argmax maps through pool_idx) and call its
+    # kernels: run each once, so a layout change that breaks them fails here
+    for c in cases:
+        c.fn()

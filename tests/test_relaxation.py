@@ -488,6 +488,21 @@ class TestSweepRecord:
         s = init_state(g, acts, np.zeros_like(acts[g.output]), ARConfig())
         assert s.cols_bar[1] is acts.saved[1] and s.pool_idx[3] is acts.saved[3]
 
+    def test_conv_record_layout(self):
+        g, x, _ = GRAPHS["conv_pool"]()
+        acts = forward(g, x)
+        for j in (1, 2):
+            _, c, kh, kw = g.nodes[j].weight.shape
+            _, hp, wp = g.shapes[j]
+            cols = acts.saved[j]
+            assert cols.shape == (x.shape[0], c * kh * kw, hp * wp)
+            # a view of one channel-major (K, B*P) buffer, read without a copy
+            m = tensor.col_matrix(cols)
+            assert m.flags.c_contiguous and np.shares_memory(m, cols)
+            # the activation is C-contiguous, so the max-pool's reshape of
+            # conv 2 is a view
+            assert acts[j].flags.c_contiguous
+
 
 class TestConvergence:
     def test_mlp_equilibrium_matches_oracle_at_500_iters(self):
