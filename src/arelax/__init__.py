@@ -9,7 +9,7 @@ weights, dropped nonlinear derivatives, and the frozen-sweep ablations.
 """
 
 from .graph import Graph, GraphError, build, forward
-from .models import ModelSpec, build_cnn, build_mlp4, build_model
+from .models import ModelSpec, build_model
 from .oracle import GradientSet, backprop, finite_diff, loss_mse
 from .relaxation import (
     ARConfig,
@@ -40,8 +40,6 @@ __all__ = [
     "apply_updates",
     "backprop",
     "build",
-    "build_cnn",
-    "build_mlp4",
     "build_model",
     "finite_diff",
     "forward",

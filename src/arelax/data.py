@@ -20,6 +20,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,17 +150,32 @@ def load_cifar(directory: str, variant: str, split: str = "train") -> Dataset:
     return Dataset(images, one_hot(labels, classes), split, variant)
 
 
-def batches(d: Dataset, batch_size: int, rng: Rng) -> list[tuple[Tensor, Tensor]]:
-    """One epoch of minibatches under a fresh deterministic shuffle; the
-    final short batch is kept."""
+class Batches(Sequence):
+    """One epoch of minibatches: batch k holds the dataset rows
+    perm[k*batch_size : (k+1)*batch_size], copied out only when it is read,
+    so an epoch never holds a second copy of the dataset."""
+
+    def __init__(self, d: Dataset, batch_size: int, perm: np.ndarray):
+        self._d, self._size, self._perm = d, batch_size, perm
+
+    def __len__(self) -> int:
+        return -(-len(self._perm) // self._size)
+
+    def __getitem__(self, k: int) -> tuple[Tensor, Tensor]:
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"batch {k} out of range for {n} batches")
+        start = (k % n) * self._size
+        sel = self._perm[start : start + self._size]
+        return self._d.images[sel], self._d.labels[sel]
+
+
+def batches(d: Dataset, batch_size: int, rng: Rng) -> Batches:
+    """One epoch of minibatches under a fresh deterministic shuffle, drawn
+    now; the final short batch is kept."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    perm = rng.permutation(len(d))
-    out = []
-    for start in range(0, len(d), batch_size):
-        sel = perm[start : start + batch_size]
-        out.append((d.images[sel], d.labels[sel]))
-    return out
+    return Batches(d, batch_size, rng.permutation(len(d)))
 
 
 # --------------------------------------------------------------------------

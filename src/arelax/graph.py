@@ -28,7 +28,8 @@ vjp(cotangent, saved) returns one cotangent per parent, in parent order.
 Dense and conv also have outer (the batch-summed parameter gradient) and
 mirror (the psi <-> W layout switch); their vjp takes the pre-activation
 cotangent and an optional back matrix in W's layout (W by default, or the
-mirrored psi).
+mirrored psi). A dense or conv forward checks its pre-activation, and an
+add its sum, for NaN or Inf once and raises NonFiniteError.
 
 A conv node saves its input's im2col columns, which are stored
 channel-major as one (C_in*kH*kW, B*H'*W') buffer (tensor.im2col), so its
@@ -62,8 +63,9 @@ class _Parametric:
     psi: Tensor             # backwards parameters; mirror(psi) is in W's layout
 
     def _activate(self, a: Tensor) -> Tensor:
-        # a comes from tensor.matmul / conv2d_cols, which already raised on a
-        # non-finite value, and tanh of a finite array is finite
+        # the one finiteness check of a dense or conv forward; it reads the
+        # pre-activation, since tanh maps inf to a finite 1
+        tensor.check_finite(a, f"{type(self).__name__} forward")
         return np.tanh(a) if self.activation == "tanh" else a
 
     def fprime(self, out: Tensor) -> Tensor | None:
@@ -79,7 +81,7 @@ class DenseNode(_Parametric):
 
     def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
         x = acts[ps[0]]
-        return self._activate(tensor.matmul(x, self.weight.T)), x
+        return self._activate(x @ self.weight.T), x
 
     def vjp(self, gz: Tensor, saved: Tensor, back: Tensor | None = None) -> list[Tensor]:
         return [gz @ (self.weight if back is None else back)]
@@ -168,8 +170,9 @@ class AddNode:
     def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, None]:
         out = acts[ps[0]]
         for p in ps[1:]:
-            out = tensor.add(out, acts[p])
-        return out, None
+            out = out + acts[p]
+        # a non-finite partial sum stays non-finite, so one check covers all
+        return tensor.check_finite(out, "AddNode forward"), None
 
     def vjp(self, g: Tensor, saved: None) -> list[Tensor]:
         return [g] * self.arity
@@ -389,7 +392,9 @@ def forward(g: Graph, x) -> Sweep:
     acts: list[Tensor] = [None] * len(g.nodes)  # type: ignore[list-item]
     saved: list = [None] * len(g.nodes)
     acts[g.input] = x
-    for i in g.topo_order:
-        if i != g.input:
-            acts[i], saved[i] = g.nodes[i].forward(acts, g.parent_ids[i])
+    # an overflow raises NonFiniteError at the node that made it, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in g.topo_order:
+            if i != g.input:
+                acts[i], saved[i] = g.nodes[i].forward(acts, g.parent_ids[i])
     return Sweep(acts, saved)

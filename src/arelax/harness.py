@@ -288,8 +288,11 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
                 angle = None
                 if cfg.grad_angle_every and bi % cfg.grad_angle_every == 0:
                     grads = oracle.backprop(g, acts, tb)
-                    angle = angle_diagnostics(wd, {j: cfg.ar.eta_theta * grads.param[j] for j in wd})
-                    angles.append(angle)
+                    scaled = {j: cfg.ar.eta_theta * grads.param[j] for j in wd}
+                    # an all-zero side (eta_theta = 0) has no angle to log
+                    if any(d.any() for d in wd.values()) and any(d.any() for d in scaled.values()):
+                        angle = angle_diagnostics(wd, scaled)
+                        angles.append(angle)
                 relaxation.apply_updates(g, wd, pd)
             except (DivergenceError, NonFiniteError):
                 yield {"seed": seed, "epoch": epoch, "batch": bi, "split": "train",

@@ -52,14 +52,6 @@ def cnn_spec(class_count: int = 10, channels: tuple[int, int] = (32, 64), fc_wid
     ]
 
 
-def build_mlp4(class_count: int, rng: Rng) -> graph.Graph:
-    return graph.build(mlp4_spec(class_count), rng)
-
-
-def build_cnn(class_count: int, rng: Rng) -> graph.Graph:
-    return graph.build(cnn_spec(class_count), rng)
-
-
 def _full_spec(spec: ModelSpec) -> list[dict]:
     return (mlp4_spec if spec.name == "mlp4" else cnn_spec)(spec.class_count)
 

@@ -107,12 +107,14 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     acts = forward(g, x)
 
     grads = GradientSet()
-    for j in g.parametric_ids():
-        node, ps = g.nodes[j], g.parent_ids[j]
-        grads.param[j] = _central_diff(g, acts, target, j, node.weight, h,
-                                       lambda: node.forward(acts, ps)[0])
-    xp = x.copy()
-    grads.node[g.input] = _central_diff(g, acts, target, g.input, xp, h, xp.copy)
+    # as in graph.forward, an overflow raises NonFiniteError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in g.parametric_ids():
+            node, ps = g.nodes[j], g.parent_ids[j]
+            grads.param[j] = _central_diff(g, acts, target, j, node.weight, h,
+                                           lambda: node.forward(acts, ps)[0])
+        xp = x.copy()
+        grads.node[g.input] = _central_diff(g, acts, target, g.input, xp, h, xp.copy)
     return grads
 
 

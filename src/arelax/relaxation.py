@@ -215,6 +215,8 @@ def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0) ->
     s.outers.clear()
     incoming: dict[int, Tensor] = {}
     for j in g.topo_order:
+        # with unfreeze_relax_deriv, f' runs node j's forward, which checks
+        # its pre-activation
         try:
             for p, contribution in _transport(g, s, cfg, j):
                 if p in incoming:
@@ -299,15 +301,12 @@ def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int) -> 
                 r -= ec * s.eps_bar
             # the top term has no J r part
             if k < top and any(p != g.input and depth[p] >= k for p in g.parent_ids[j]):
-                try:
-                    for p, contribution in _transport(g, s, cfg, j):
-                        if depth[p] < k:
-                            continue
-                        if p not in acc:
-                            acc[p] = a * s.xbar[p]
-                        acc[p] += contribution
-                except NonFiniteError as exc:
-                    raise DivergenceError(j, steps, str(exc)) from exc
+                for p, contribution in _transport(g, s, cfg, j):
+                    if depth[p] < k:
+                        continue
+                    if p not in acc:
+                        acc[p] = a * s.xbar[p]
+                    acc[p] += contribution
             s.x[j] = r
 
 

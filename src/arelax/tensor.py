@@ -1,8 +1,11 @@
 """Dense float64 array kernels shared by every other module.
 
 All kernels are pure functions over C-contiguous float64 numpy arrays.
-Shape violations raise ShapeError; a kernel that produces NaN/Inf raises
-NonFiniteError rather than letting it propagate silently.
+Shape violations raise ShapeError. The kernels do not check for NaN/Inf:
+the node kinds (graph.py) call check_finite once per forward, and the two
+sweeps that run node forwards, graph.forward and oracle.finite_diff, set
+numpy's error state once, so an overflow there raises NonFiniteError
+instead of warning.
 
 Conventions baked in here:
   * Spatial kernels (conv2d, im2col, col2im, maxpool2d, maxpool2d_scatter)
@@ -36,7 +39,7 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """A kernel produced NaN or Inf."""
+    """A node's forward produced NaN or Inf."""
 
 
 def as_tensor(data) -> Tensor:
@@ -44,35 +47,11 @@ def as_tensor(data) -> Tensor:
     return np.ascontiguousarray(data, dtype=np.float64)
 
 
-def _finite(out: Tensor, op: str) -> Tensor:
+def check_finite(out: Tensor, op: str) -> Tensor:
+    """out, or NonFiniteError naming op if it holds NaN or Inf."""
     if not np.isfinite(out).all():
         raise NonFiniteError(f"{op} produced non-finite values")
     return out
-
-
-def _quiet():
-    # overflow inside a kernel is reported via NonFiniteError, not a warning
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: operand shapes differ: {a.shape} vs {b.shape}")
-
-
-# ---------------------------------------------------------------------------
-# matrix multiply
-
-def matmul(a, b) -> Tensor:
-    """Standard matrix product of two 2-D tensors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner extents disagree: {a.shape} x {b.shape}")
-    with _quiet():
-        return _finite(a @ b, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +122,7 @@ def conv2d_cols(cols: Tensor, kernels: Tensor, hp: int, wp: int) -> Tensor:
     one (C_out, K) @ (K, B*hp*wp) product, transposed once into the
     C-contiguous (B, C_out, hp, wp) output."""
     co = kernels.shape[0]
-    with _quiet():
-        out = _finite(kernels.reshape(co, -1) @ col_matrix(cols), "conv2d")
+    out = kernels.reshape(co, -1) @ col_matrix(cols)
     return np.ascontiguousarray(out.reshape(co, cols.shape[0], hp, wp).transpose(1, 0, 2, 3))
 
 
@@ -176,15 +154,6 @@ def maxpool2d_scatter(values, idx, height: int, width: int) -> Tensor:
     out = np.zeros((b, c, height * width))
     np.put_along_axis(out, idx.reshape(b, c, -1), values.reshape(b, c, -1), axis=-1)
     return out.reshape(b, c, height, width)
-
-
-# ---------------------------------------------------------------------------
-# elementwise kernels
-
-def add(a, b) -> Tensor:
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    _same_shape(a, b, "add")
-    return _finite(a + b, "add")
 
 
 # ---------------------------------------------------------------------------

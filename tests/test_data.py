@@ -1,6 +1,7 @@
 import gzip
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,21 @@ class TestBatches:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             batches(self._dataset(10), 0, Rng(0))
+
+    def test_batches_are_copied_only_when_read(self):
+        d = Dataset(np.zeros((2000, 1, 16, 16)), one_hot(np.arange(2000) % 4, 4), "train", "synth")
+        batch_bytes = 100 * (d.images[0].nbytes + d.labels[0].nbytes)
+        tracemalloc.start()
+        try:
+            got = batches(d, 100, Rng(2))
+            assert len(got) == 20 and got[-1][0].shape[0] == 100
+            for xb, tb in got:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the batch in hand and the next one, not the epoch's 20
+        assert peak < 3 * batch_bytes
 
 
 class TestLoadDataset:

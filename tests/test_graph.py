@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from arelax import graph, tensor
 from arelax.graph import AddNode, GraphError, build, forward
 from arelax.harness import skip_dag_spec
-from arelax.tensor import Rng, ShapeError
+from arelax.tensor import NonFiniteError, Rng, ShapeError
 
 
 def scalar_chain():
@@ -182,6 +184,50 @@ class TestForward:
             assert a.tobytes() == b.tobytes()
         for j, w in zip(g.parametric_ids(), weights_before):
             np.testing.assert_array_equal(g.nodes[j].weight, w)
+
+    def test_dense_forward_is_x_times_w_transposed(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for w, want in ((np.eye(2), x), (np.array([[5.0, 6.0]]), [[17.0], [39.0]])):
+            g = build([{"kind": "input", "shape": (2,)},
+                       {"kind": "dense", "units": w.shape[0], "activation": "linear",
+                        "weight": w, "psi": w.T}])
+            np.testing.assert_array_equal(forward(g, x)[1], want)
+
+    def test_add_sums_its_parents(self):
+        g = build([
+            {"kind": "input", "shape": (2,)},
+            {"kind": "dense", "units": 2, "activation": "linear", "weight": np.eye(2), "psi": np.eye(2)},
+            {"kind": "dense", "units": 2, "activation": "linear", "weight": 2 * np.eye(2),
+             "psi": np.eye(2), "parents": [0]},
+            {"kind": "add", "parents": [0, 1, 2]},
+        ])
+        np.testing.assert_array_equal(forward(g, [[1.0, 2.0]])[3], [[4.0, 8.0]])
+
+    @pytest.mark.parametrize("kind", ["dense", "conv", "add"])
+    def test_overflow_raises_naming_the_node_kind(self, kind):
+        # tanh would map the dense and conv pre-activations (inf) to a
+        # finite 1; the add's first partial sum is finite, its second inf
+        if kind == "dense":
+            spec = [{"kind": "input", "shape": (1,)},
+                    {"kind": "dense", "units": 1, "weight": [[10.0]], "psi": [[1.0]]}]
+            x, name = [[1e308]], "DenseNode"
+        elif kind == "conv":
+            spec = [{"kind": "input", "shape": (1, 2, 2)},
+                    {"kind": "conv", "out_channels": 1, "kernel": 2,
+                     "weight": np.ones((1, 1, 2, 2)), "psi": np.ones((1, 1, 2, 2))}]
+            x, name = np.full((1, 1, 2, 2), 1e308), "ConvNode"
+        else:
+            spec = [{"kind": "input", "shape": (1,)}]
+            for _ in range(3):
+                spec.append({"kind": "dense", "units": 1, "activation": "linear",
+                             "weight": [[1.0]], "psi": [[1.0]], "parents": [0]})
+            spec.append({"kind": "add", "parents": [1, 2, 3]})
+            x, name = [[0.8e308]], "AddNode"
+        g = build(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # an overflow must not warn
+            with pytest.raises(NonFiniteError, match=f"{name} forward produced non-finite"):
+                forward(g, x)
 
     def test_chain_matches_layer_recursion(self):
         rng = Rng(9)

@@ -235,6 +235,19 @@ class TestTraining:
         assert angles
         assert all(0.0 <= a <= 5.0 for a in angles)
 
+    def test_zero_eta_theta_logs_no_grad_angle(self, train_root, tmp_path):
+        # every update is zero, so no batch has an angle to report
+        out = str(tmp_path / "ang0.csv")
+        cfg = mnist_cfg(train_root, out, epochs=1, eta_theta=0.0)
+        cfg.train_cap = 256
+        cfg.grad_angle_every = 1
+        cfg.log_every = 1
+        run_experiment(cfg)
+        rows = read_metrics(out)
+        logged = [r for r in rows if r["split"] == "train"]
+        assert len(logged) == 256 // 64 + 1     # every batch, then the epoch row
+        assert all(r["grad_angle"] is None for r in rows)
+
     def test_byte_identical_metrics_for_identical_config(self, train_root, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run_experiment(mnist_cfg(train_root, a, epochs=1, seeds=(3,)))

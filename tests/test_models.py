@@ -3,7 +3,7 @@ import pytest
 
 from arelax.graph import ConvNode, DenseNode, build, forward
 from arelax.harness import node_rel_errors, random_case
-from arelax.models import ModelSpec, build_cnn, build_mlp4, build_model, reduced_spec
+from arelax.models import ModelSpec, build_model, reduced_spec
 from arelax.oracle import backprop
 from arelax.relaxation import ARConfig, run_relaxation
 from arelax.tensor import Rng
@@ -14,37 +14,37 @@ from arelax import data as data_mod
 
 class TestMlp4:
     def test_parameter_shapes(self):
-        g = build_mlp4(10, Rng(0))
+        g = build_model(ModelSpec("mlp4", 10), Rng(0))
         shapes = [g.nodes[j].weight.shape for j in g.parametric_ids()]
         assert shapes == [(300, 784), (300, 300), (100, 300), (10, 100)]
 
     def test_zero_input_gives_zero_hiddens(self):
-        g = build_mlp4(10, Rng(1))
+        g = build_model(ModelSpec("mlp4", 10), Rng(1))
         acts = forward(g, np.zeros((2, 1, 28, 28)))
         for j in g.parametric_ids()[:-1]:
             np.testing.assert_array_equal(acts[j], np.zeros_like(acts[j]))
 
     def test_output_shape_batch_64(self):
-        g = build_mlp4(10, Rng(2))
+        g = build_model(ModelSpec("mlp4", 10), Rng(2))
         acts = forward(g, np.zeros((64, 1, 28, 28)))
         assert acts[g.output].shape == (64, 10)
 
     def test_tanh_hidden_linear_head(self):
-        g = build_mlp4(10, Rng(3))
+        g = build_model(ModelSpec("mlp4", 10), Rng(3))
         dense = [g.nodes[j] for j in g.parametric_ids()]
         assert [n.activation for n in dense] == ["tanh", "tanh", "tanh", "linear"]
 
     def test_real_mnist_batch_shape(self):
         root = require_real_dataset("mnist")
         d = data_mod.load_dataset("mnist", root, "train")
-        g = build_mlp4(10, Rng(4))
+        g = build_model(ModelSpec("mlp4", 10), Rng(4))
         acts = forward(g, d.images[:64])
         assert acts[g.output].shape == (64, 10)
 
 
 class TestCnn:
     def test_filter_counts_and_structure(self):
-        g = build_cnn(10, Rng(0))
+        g = build_model(ModelSpec("cnn", 10), Rng(0))
         kinds = [type(n).__name__ for n in g.nodes]
         assert kinds == ["InputNode", "ConvNode", "MaxPoolNode", "ConvNode",
                          "FlattenNode", "DenseNode", "DenseNode"]
@@ -54,7 +54,7 @@ class TestCnn:
 
     def test_spatial_bookkeeping(self):
         # 32 -> 28 (5x5 valid) -> 14 (pool) -> 10 (5x5 valid) -> flatten 6400
-        g = build_cnn(10, Rng(1))
+        g = build_model(ModelSpec("cnn", 10), Rng(1))
         assert g.shapes[1] == (32, 28, 28)
         assert g.shapes[2] == (32, 14, 14)
         assert g.shapes[3] == (64, 10, 10)
@@ -62,11 +62,11 @@ class TestCnn:
         assert g.shapes[5] == (120,)
 
     def test_cifar100_head(self):
-        g = build_cnn(100, Rng(2))
+        g = build_model(ModelSpec("cnn", 100), Rng(2))
         assert g.shapes[g.output] == (100,)
 
     def test_tanh_everywhere_except_head(self):
-        g = build_cnn(10, Rng(3))
+        g = build_model(ModelSpec("cnn", 10), Rng(3))
         acted = [n for n in g.nodes if isinstance(n, (ConvNode, DenseNode))]
         assert [n.activation for n in acted] == ["tanh", "tanh", "tanh", "linear"]
 
