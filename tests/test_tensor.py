@@ -2,8 +2,48 @@ import numpy as np
 import pytest
 
 from arelax import tensor
-from arelax.graph import DenseNode
+from arelax.graph import DenseNode, GraphError, build, forward
 from arelax.tensor import Rng, ShapeError
+
+
+def dense_product(x, w):
+    """x @ W.T, the product a linear dense node's forward makes."""
+    w = np.asarray(w, dtype=float)
+    return DenseNode(w, "linear", w.T).forward([np.asarray(x, dtype=float)], (0,))[0]
+
+
+class TestMatmul:
+    # the dense product runs unwrapped in DenseNode.forward; its operand
+    # shapes are checked once, by graph.build and graph.forward
+    def test_identity(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(dense_product(a, np.eye(2)), a)
+        np.testing.assert_array_equal(dense_product(np.eye(2), a.T), a)
+
+    def test_zero(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(dense_product(a, np.zeros((1, 2))), np.zeros((2, 1)))
+
+    def test_hand_product(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(dense_product(a, [[5.0, 6.0]]), [[17.0], [39.0]])
+
+    def test_shape_mismatch_names_both_shapes(self):
+        spec = [{"kind": "input", "shape": (3,)}, {"kind": "dense", "units": 2, "weight": np.zeros((2, 2))}]
+        with pytest.raises(GraphError, match=r"\(2, 2\).*\(2, 3\)"):
+            build(spec)
+
+    def test_non_2d_rejected(self):
+        g = build([{"kind": "input", "shape": (3,)}, {"kind": "dense", "units": 2}], Rng(0))
+        with pytest.raises(ShapeError):
+            forward(g, np.zeros(3))
+
+    def test_pure_bitwise(self):
+        rng = np.random.default_rng(0)
+        a, w = rng.normal(size=(5, 7)), rng.normal(size=(3, 7))
+        first = dense_product(a, w)
+        second = dense_product(a, w)
+        assert first.tobytes() == second.tobytes()
 
 
 class TestConv2d:
@@ -111,6 +151,16 @@ class TestElementwise:
     def test_tanh_prime_identity_sampled(self):
         a = np.linspace(-4, 4, 101)
         np.testing.assert_array_equal(TANH_NODE.fprime(np.tanh(a)), 1 - np.tanh(a) ** 2)
+
+    @pytest.mark.parametrize("op", ["add"])
+    def test_shape_mismatch(self, op):
+        spec = [
+            {"kind": "input", "shape": (2,)},
+            {"kind": "dense", "units": 3},
+            {"kind": op, "parents": [0, 1]},
+        ]
+        with pytest.raises(GraphError, match="differing shapes"):
+            build(spec, Rng(0))
 
 
 class TestRng:
