@@ -25,10 +25,11 @@ forward(acts, ps) reads the activations of the parents ps from the
 per-node list acts and returns (activation, saved), where saved is what
 forward already computed and the VJP reuses (see Sweep), and
 vjp(cotangent, saved) returns one cotangent per parent, in parent order.
-Dense and conv also have outer (the batch-summed parameter gradient) and
-mirror (the psi <-> W layout switch); their vjp takes the pre-activation
-cotangent and an optional back matrix in W's layout (W by default, or the
-mirrored psi). A dense or conv forward checks its pre-activation, and an
+Dense and conv also have outer (the batch-summed parameter gradient),
+mirror (the psi <-> W layout switch) and gemm_input (what forward saves of
+an input, which the weight update can take of a relaxed activity without
+a forward); their vjp takes the pre-activation cotangent and an optional
+back matrix in W's layout (W by default, or the mirrored psi). A dense or conv forward checks its pre-activation, and an
 add its sum, for NaN or Inf once and raises NonFiniteError.
 
 A conv node saves its input's im2col columns, which are stored
@@ -80,8 +81,13 @@ class DenseNode(_Parametric):
     """weight (n_out, n_in); psi (n_in, n_out), where W^T transports."""
 
     def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
-        x = acts[ps[0]]
+        x = self.gemm_input(acts[ps[0]])
         return self._activate(x @ self.weight.T), x
+
+    @staticmethod
+    def gemm_input(x: Tensor) -> Tensor:
+        """What forward saves of input x: x itself."""
+        return x
 
     def vjp(self, gz: Tensor, saved: Tensor, back: Tensor | None = None) -> list[Tensor]:
         return [gz @ (self.weight if back is None else back)]
@@ -112,9 +118,14 @@ class ConvNode(_Parametric):
     def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
         x = acts[ps[0]]
         _, _, kh, kw = self.weight.shape
-        cols = tensor.im2col(x, kh, kw)
+        cols = self.gemm_input(x)
         a = tensor.conv2d_cols(cols, self.weight, x.shape[2] - kh + 1, x.shape[3] - kw + 1)
         return self._activate(a), cols
+
+    def gemm_input(self, x: Tensor) -> Tensor:
+        """What forward saves of input x: its im2col columns."""
+        _, _, kh, kw = self.weight.shape
+        return tensor.im2col(x, kh, kw)
 
     def vjp(self, gz: Tensor, saved: Tensor, back: Tensor | None = None) -> list[Tensor]:
         co, ci, kh, kw = self.weight.shape

@@ -8,6 +8,11 @@ that node (scaled by batch size, since the loss averages over the batch):
     internal node: dx = -x + sum over children j of VJP_j(x_j)
     then           x <- x + eta_x * dx         (all nodes simultaneously)
 
+One children-first sweep (_sweep) runs this phase with a per-node
+combine: relax_step is the sweep with the update above, and the closed
+form of run_relaxation one sweep per power of the transport with a Horner
+combine.
+
 The per-edge VJP transports a child's relaxing activity back to its parent
 through the local Jacobian evaluated at the frozen feedforward values: for
 a dense child, (f'(abar) * x_child) @ W; a conv child routes through the
@@ -59,9 +64,11 @@ SCOPES = ("all", "conv", "dense")
 class DivergenceError(RuntimeError):
     """Relaxation activity exceeded the divergence guard or went non-finite.
 
-    `iteration` is the step whose result tripped the guard. When
+    `iteration` is the step whose result tripped the guard. When several
+    nodes trip in one step, `node` is the first one the sweep reaches,
+    counting children first (reverse topological order). When
     run_relaxation takes the closed-form path (frozen relaxation
-    derivatives) only the final state is checked, so it is always
+    derivatives) only the final state is checked, so `iteration` is always
     n_iters - 1 there, and a transient overshoot is not reported.
     """
 
@@ -138,6 +145,9 @@ class RelaxState:
     directly; the cols_bar and pool_idx aliases stay because the benchmark's
     per-node kernel cases (perfbench/kernels.py) read them.
 
+    The sweeps replace entries of x and never write into them; the input's
+    entry is never replaced.
+
     outers holds the batch-mean update outer products of the learned-psi
     nodes, which weight_update computes and psi_update reads again. A key
     is the node id plus the weight-side settings the product depends on
@@ -194,66 +204,71 @@ def _scale_by_fprime(g: Graph, s: RelaxState, cfg: ARConfig, j: int, v: Tensor, 
     return s.fprime_bar[j] * v
 
 
-def _transport(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> list[tuple[int, Tensor]]:
-    """VJP contributions of node j's current activity to each of its parents."""
-    ps = g.parent_ids[j]
-    # Input activities never relax, so nothing is transported into them.
-    if all(p == g.input for p in ps):
-        return []
-    node = g.nodes[j]
-    if isinstance(node, PARAMETRIC):
-        v = _scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_relax_deriv)
-        sent = node.vjp(v, s.saved[j], node.mirror(node.psi) if _uses_psi(node, cfg) else None)
-    else:
-        sent = node.vjp(s.x[j], s.saved[j])
-    return [(p, c) for p, c in zip(ps, sent) if p != g.input]
+def _depth(g: Graph) -> list[int]:
+    """depth[j], the edge count of the longest path of non-input nodes that
+    ends at node j, and -1 at the input, which no sweep (_sweep) visits or
+    sends into."""
+    depth = [-1] * len(g.nodes)
+    for j in g.topo_order:
+        for p in g.parent_ids[j]:
+            depth[j] = max(depth[j], depth[p] + 1)
+    return depth
+
+
+def _sweep(g: Graph, s: RelaxState, cfg: ARConfig, depth: list[int], k: int, combine,
+           *, send: bool = True, iteration: int = 0) -> None:
+    """Visit the nodes with depth >= k in reverse topological order. Node j
+    runs its VJP on its pre-update activity into its parents with
+    depth >= k (if `send`), then takes s.x[j] = combine(j, incoming), the
+    sum of what its children sent (None if nothing was). Its own VJP and
+    its children's unfrozen f' read s.x[j] before it is replaced, so the
+    pass is synchronous. A non-finite forward in an unfrozen f' is a
+    DivergenceError at j and `iteration`."""
+    incoming: dict[int, Tensor] = {}
+    for j in reversed(g.topo_order):
+        if depth[j] < k:
+            continue
+        ps = g.parent_ids[j]
+        if send and any(depth[p] >= k for p in ps):
+            node = g.nodes[j]
+            try:
+                if isinstance(node, PARAMETRIC):
+                    back = node.mirror(node.psi) if _uses_psi(node, cfg) else None
+                    # unnamed, the f'-scaled cotangent is freed when the VJP returns
+                    sent = node.vjp(_scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_relax_deriv), s.saved[j], back)
+                else:
+                    sent = node.vjp(s.x[j], s.saved[j])
+            except NonFiniteError as exc:
+                raise DivergenceError(j, iteration, str(exc)) from exc
+            for p, contribution in zip(ps, sent):
+                if depth[p] >= k:
+                    incoming[p] = incoming[p] + contribution if p in incoming else contribution
+        s.x[j] = combine(j, incoming.pop(j, None))
 
 
 def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0) -> RelaxState:
-    """One synchronous update: all dx computed from pre-step values, then
-    applied at once, so node iteration order never affects the result."""
+    """One synchronous step x <- x + eta_x * dx, the sweep at k = 0 with dx
+    from pre-step values. Sets last_max_dx to max |dx|, and raises
+    DivergenceError at the first node reached, children first, whose new
+    activity is non-finite or above DIVERGENCE_LIMIT."""
     s.outers.clear()
-    incoming: dict[int, Tensor] = {}
-    for j in g.topo_order:
-        # with unfreeze_relax_deriv, f' runs node j's forward, which checks
-        # its pre-activation
-        try:
-            for p, contribution in _transport(g, s, cfg, j):
-                if p in incoming:
-                    incoming[p] = incoming[p] + contribution
-                else:
-                    incoming[p] = contribution
-        except NonFiniteError as exc:
-            raise DivergenceError(j, iteration, str(exc)) from exc
-
     max_dx = 0.0
-    for i in g.topo_order:
-        if i == g.input:
-            continue
-        if i == g.output:
-            dx = -s.x[i] - s.eps_bar
-        else:
-            dx = -s.x[i] + incoming[i]
-        s.x[i] = s.x[i] + cfg.eta_x * dx
+
+    def leak(j: int, incoming: Tensor | None) -> Tensor:
+        nonlocal max_dx
+        dx = -s.x[j] - s.eps_bar if j == g.output else -s.x[j] + incoming
+        # dx is dropped before the guard's reduction: three temporaries at most
         max_dx = max(max_dx, float(np.max(np.abs(dx))))
+        x = s.x[j] + cfg.eta_x * dx
+        del dx
         # NaN fails the comparison, so one reduction also catches non-finite values
-        if not float(np.max(np.abs(s.x[i]))) <= DIVERGENCE_LIMIT:
-            raise DivergenceError(i, iteration)
+        if not float(np.max(np.abs(x))) <= DIVERGENCE_LIMIT:
+            raise DivergenceError(j, iteration)
+        return x
+
+    _sweep(g, s, cfg, _depth(g), 0, leak, iteration=iteration)
     s.last_max_dx = max_dx
     return s
-
-
-def _longest_relaxing_path(g: Graph) -> list[int]:
-    """depth[j], the edge count of the longest path of non-input nodes that
-    ends at node j (0 at the input). J^k sends a share at j k edges towards
-    the input, so it maps that share to zero when depth[j] < k; the longest
-    path D is max(depth), and J^(D+1) = 0."""
-    depth = [0] * len(g.nodes)
-    for j in g.topo_order:
-        for p in g.parent_ids[j]:
-            if p != g.input:
-                depth[j] = max(depth[j], depth[p] + 1)
-    return depth
 
 
 def _cascade_coefficients(steps: int, depth: int, eta: float) -> list[tuple[float, float]]:
@@ -270,44 +285,32 @@ def _cascade_coefficients(steps: int, depth: int, eta: float) -> list[tuple[floa
 
 def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int) -> None:
     """Set s.x to the frozen-derivative state after `steps` steps from xbar,
-    x(S) = sum_k J^k v_k, by Horner's rule r <- J r + v_k (see run_relaxation).
+    x(S) = sum_k J^k v_k, by Horner's rule r <- J r + v_k (see
+    run_relaxation): one sweep per k, top term first, with the combine
+    a_k xbar + J r (- eta c_k eps_bar at the output). Sweep k's VJPs read
+    sweep k + 1's r, still in s.x; the top sweep has no J r part.
 
-    Nodes are visited children first, so all of a node's incoming transport
-    is in its accumulator before its own activity is read and replaced: each
-    sweep is synchronous without keeping a second copy of the activities.
-
-    Sweeps are pruned by height. Sweep k's r is multiplied by J k more times
-    before it is read, and J^k zeroes a share at any node p with
-    depth[p] < k (_longest_relaxing_path). So sweep k computes r only at
-    nodes with depth >= k and transports only into parents with depth >= k;
-    a node with no such parent runs no VJP. The other entries of s.x are
-    stale until the sweep that reaches them, and sweep 0 sets them all. The
-    kept sums are the unpruned ones, in the same order, so the result is
-    bit-identical to unpruned sweeps; only an overflow in a pruned term is
-    no longer computed.
+    Sweep k's r is multiplied by J k more times before it is read, and J^k
+    zeroes a share at any node with depth < k, so sweep k's depth >= k
+    pruning drops only zeroed terms: a node with no parent of depth >= k
+    runs no VJP, and an overflow in a pruned term is never computed. The
+    other entries of s.x stay stale until sweep 0 sets them all.
     """
-    relaxing = [j for j in reversed(g.topo_order) if j != g.input]
-    depth = _longest_relaxing_path(g)
+    depth = _depth(g)
     coeffs = _cascade_coefficients(steps, max(depth), cfg.eta_x)
     top = len(coeffs) - 1
     for k in range(top, -1, -1):
         a, ec = coeffs[k]
-        acc: dict[int, Tensor] = {}
-        for j in relaxing:
-            if depth[j] < k:
-                continue
-            r = acc.pop(j) if j in acc else a * s.xbar[j]
+
+        def horner(j: int, incoming: Tensor | None) -> Tensor:
+            r = a * s.xbar[j]
+            if incoming is not None:
+                r += incoming
             if j == g.output:
                 r -= ec * s.eps_bar
-            # the top term has no J r part
-            if k < top and any(p != g.input and depth[p] >= k for p in g.parent_ids[j]):
-                for p, contribution in _transport(g, s, cfg, j):
-                    if depth[p] < k:
-                        continue
-                    if p not in acc:
-                        acc[p] = a * s.xbar[p]
-                    acc[p] += contribution
-            s.x[j] = r
+            return r
+
+        _sweep(g, s, cfg, depth, k, horner, send=k < top, iteration=steps)
 
 
 def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
@@ -338,18 +341,14 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
         a_k  = C(S,k) (1-eta_x)^(S-k) eta_x^k,
         c_k  = sum_{t<S} C(t,k) (1-eta_x)^(t-k) eta_x^k,
 
-    in K transport sweeps instead of S steps, and relax_step takes the last
-    step, so last_max_dx and the divergence guard come from the reference
-    code. Sweep k skips every node whose share J^k zeroes, those whose
-    longest chain of relaxing ancestors is shorter than k
-    (_closed_form_advance): on a chain of D + 1 relaxing nodes the sweeps
-    make D(D+1)/2 transports, not D^2. The weight-side variants leave J
-    unchanged and take this path.
-    On it the guard sees the final state only, and a DivergenceError
-    reports iteration n_iters - 1: a transient overshoot past
-    DIVERGENCE_LIMIT that the step-by-step engine would flag is not
-    reported, and neither is an overflow in a pruned sweep term, which is
-    never computed.
+    in K + 1 pruned sweeps (_closed_form_advance; D(D+1)/2 transports on a
+    chain of D + 1 relaxing nodes) instead of S steps, and relax_step takes
+    the last step, so last_max_dx and the divergence guard come from the
+    reference code. The weight-side variants leave J unchanged and take
+    this path. On it the guard sees the final state only, and a
+    DivergenceError reports iteration n_iters - 1: a transient overshoot
+    past DIVERGENCE_LIMIT that the step-by-step engine would flag is not
+    reported, and neither is an overflow in a pruned sweep term.
     """
     s = init_state(g, acts, target, cfg)
     if cfg.unfreeze_relax_deriv:
@@ -370,7 +369,7 @@ def _update_outer(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> Tensor:
     if key in s.outers:
         return s.outers[key]
     child = _scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_weight_deriv)
-    saved = node.forward(s.x, g.parent_ids[j])[1] if cfg.unfreeze_weight_activity else s.saved[j]
+    saved = node.gemm_input(s.x[g.parent_ids[j][0]]) if cfg.unfreeze_weight_activity else s.saved[j]
     out = node.outer(child, saved) / child.shape[0]
     if _uses_psi(node, cfg):
         s.outers[key] = out

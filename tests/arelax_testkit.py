@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: synthetic datasets written in the
-real on-disk formats, the real-dataset gate, and a hypothesis strategy for
-random conv/pool/add DAGs.
+real on-disk formats, the real-dataset gate, a hypothesis strategy for
+random conv/pool/add DAGs, and a written-out relaxation step to check the
+library's against.
 
 The synthetic task is class-prototype images plus pixel noise, which a
 small network separates quickly; it exercises the loaders, the training
@@ -18,6 +19,8 @@ import pytest
 from hypothesis import strategies as st
 
 from arelax import data as data_mod
+from arelax import relaxation
+from arelax.graph import PARAMETRIC
 
 
 def write_idx_images(path: str, images: np.ndarray, compress: bool = False) -> None:
@@ -146,3 +149,35 @@ def conv_dags(draw):
         top = add({"kind": "dense", "units": draw(st.integers(1, 5)), "activation": "tanh"}, top)
     add({"kind": "dense", "units": draw(st.integers(2, 3)), "activation": "linear"}, top)
     return spec, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
+
+
+def reference_step(g, s, cfg):
+    """One relaxation step written out as two passes: a topological pass
+    that sends every node's VJP of its pre-step activity into an `incoming`
+    dict, then a pass that updates every relaxing node from it. relax_step
+    must agree with it bit for bit where no node has two relaxing children,
+    and up to summation order elsewhere."""
+    incoming = {}
+    for j in g.topo_order:
+        ps = g.parent_ids[j]
+        if all(p == g.input for p in ps):      # the input, or fed by it alone
+            continue
+        node = g.nodes[j]
+        if isinstance(node, PARAMETRIC):
+            v = relaxation._scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_relax_deriv)
+            back = node.mirror(node.psi) if relaxation._uses_psi(node, cfg) else None
+            sent = node.vjp(v, s.saved[j], back)
+        else:
+            sent = node.vjp(s.x[j], s.saved[j])
+        for p, contribution in zip(ps, sent):
+            if p != g.input:
+                incoming[p] = incoming[p] + contribution if p in incoming else contribution
+    max_dx = 0.0
+    for i in g.topo_order:
+        if i == g.input:
+            continue
+        dx = -s.x[i] - s.eps_bar if i == g.output else -s.x[i] + incoming[i]
+        s.x[i] = s.x[i] + cfg.eta_x * dx
+        max_dx = max(max_dx, float(np.max(np.abs(dx))))
+    s.last_max_dx = max_dx
+    return s

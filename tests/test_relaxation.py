@@ -23,7 +23,7 @@ from arelax.relaxation import (
 )
 from arelax.tensor import Rng
 
-from arelax_testkit import conv_dags
+from arelax_testkit import conv_dags, reference_step
 
 
 def scalar_chain():
@@ -112,6 +112,33 @@ def assert_engines_agree(g, acts, t, cfg, tol=1e-12):
             assert rel_error(pg[j], pw[j]) <= tol, f"psi {j}, {where}"
 
 
+STEP_CONFIGS = [
+    ARConfig(),
+    ARConfig(backwards_mode="learned_psi"),
+    ARConfig(unfreeze_relax_deriv=True),
+]
+
+
+def assert_steps_match_reference(g, acts, t, cfg, steps=3):
+    """relax_step against the two-pass reference_step over a few steps from
+    xbar: bit for bit when no node has two relaxing children (a chain), else
+    to 1e-12, since a multi-child sum is taken in another order."""
+    s, ref = init_state(g, acts, t, cfg), init_state(g, acts, t, cfg)
+    for it in range(steps):
+        relax_step(g, s, cfg, iteration=it)
+        reference_step(g, ref, cfg)
+    children = [sum(p == i for ps in g.parent_ids for p in ps) for i in range(len(g.nodes))]
+    if all(n <= 1 for i, n in enumerate(children) if i != g.input):
+        for a, b in zip(s.x, ref.x):
+            np.testing.assert_array_equal(a, b)
+        assert s.last_max_dx == ref.last_max_dx
+    else:
+        for a, b in zip(s.x, ref.x):
+            assert rel_error(a, b) <= 1e-12
+        scale = max(float(np.max(np.abs(a))) for a in ref.x)
+        assert abs(s.last_max_dx - ref.last_max_dx) <= 1e-12 * scale
+
+
 class TestARConfig:
     def test_defaults_match_reference_hyperparameters(self):
         cfg = ARConfig()
@@ -158,28 +185,19 @@ class TestRelaxStep:
         assert s.x[1][0, 0] == pytest.approx(18.0, abs=1e-10)
 
     def test_synchronous_update_order_independent(self):
-        # dx must come from pre-step values only: a reference step computed
-        # in reversed node order gives the same result
-        rng = Rng(21)
-        g = build(skip_dag_spec(width=6, class_count=3), rng)
-        x, t = random_case(g, rng, 3)
-        acts = forward(g, x)
-        cfg = ARConfig()
-        s = init_state(g, acts, t, cfg)
-        relax_step(g, s, cfg)
+        # dx must come from pre-step values only: the children-first sweep
+        # gives what a two-pass step gives
+        for name in sorted(GRAPHS):
+            g, x, t = GRAPHS[name]()
+            for cfg in STEP_CONFIGS:
+                assert_steps_match_reference(g, forward(g, x), t, cfg)
 
-        ref = init_state(g, acts, t, cfg)
-        incoming = {}
-        for j in reversed(ref_order := [i for i in g.topo_order if not isinstance(g.nodes[i], InputNode)]):
-            for p, contribution in relaxation._transport(g, ref, cfg, j):
-                if isinstance(g.nodes[p], InputNode):
-                    continue
-                incoming[p] = incoming.get(p, 0) + contribution
-        for i in ref_order:
-            dx = (-ref.x[i] - ref.eps_bar) if i == g.output else (-ref.x[i] + incoming[i])
-            ref.x[i] = ref.x[i] + cfg.eta_x * dx
-        for i in ref_order:
-            np.testing.assert_allclose(s.x[i], ref.x[i], rtol=1e-12, atol=1e-15)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(conv_dags(), st.sampled_from(STEP_CONFIGS))
+    def test_synchronous_update_matches_reference_on_random_dags(self, case, cfg):
+        spec, seed, batch = case
+        g, x, t = spec_case(spec, seed, batch)
+        assert_steps_match_reference(g, forward(g, x), t, cfg)
 
     def test_frozen_quantities_unchanged_across_steps(self):
         g, x, t = random_mlp(1)
@@ -298,16 +316,24 @@ class TestClosedForm:
         assert exc.value.iteration == 49
 
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
-    def test_no_transport_into_the_input(self, graph):
+    def test_no_transport_into_the_input(self, monkeypatch, graph):
+        # under both engines a node whose parents are all the input runs no
+        # VJP, and the input's activity stays xbar
         g, x, t = GRAPHS[graph]()
         acts = forward(g, x)
-        cfg = ARConfig()
-        s = init_state(g, acts, t, cfg)
-        for j in g.topo_order:
-            if j == g.input:
-                continue
-            sent = [p for p, _ in relaxation._transport(g, s, cfg, j)]
-            assert sent == [p for p in g.parent_ids[j] if p != g.input]
+        ran = set()
+        for j, node in enumerate(g.nodes):
+            if hasattr(node, "vjp"):
+                monkeypatch.setattr(node, "vjp", lambda *a, _j=j, _vjp=node.vjp: ran.add(_j) or _vjp(*a))
+        fed_by_input = {j for j, ps in enumerate(g.parent_ids) if ps and set(ps) == {g.input}}
+        assert fed_by_input
+        for cfg in (ARConfig(n_iters=5), ARConfig(n_iters=5, unfreeze_relax_deriv=True)):
+            s = init_state(g, acts, t, cfg)
+            xbar = s.x[g.input]
+            relax_step(g, s, cfg)
+            assert s.x[g.input] is xbar
+            np.testing.assert_array_equal(run_relaxation(g, acts, t, cfg).x[g.input], x)
+        assert ran and not ran & fed_by_input
 
 
 def linear_chain(n_relaxing: int, weights=None):
@@ -435,6 +461,41 @@ class TestOuterCache:
             got, want = update(g, s, other), update(g, fresh, other)
             for j in want:
                 np.testing.assert_array_equal(got[j], want[j])
+
+
+class TestRelaxedActivityUpdate:
+    """unfreeze_weight_activity's outer product reads what forward would
+    save of the relaxed parent activity, without running the forward."""
+
+    @pytest.mark.parametrize("graph", ["conv_pool", "skip_dag"])
+    def test_deltas_equal_a_record_of_the_relaxed_activities(self, graph):
+        g, x, t = GRAPHS[graph]()
+        acts = forward(g, x)
+        cfg = ARConfig(n_iters=30, unfreeze_weight_activity=True)
+        s = run_relaxation(g, acts, t, cfg)
+        ref = init_state(g, acts, t, cfg)
+        ref.x = s.x
+        for j in g.parametric_ids():
+            ref.saved[j] = g.nodes[j].forward(s.x, g.parent_ids[j])[1]
+        got, want = weight_update(g, s, cfg), weight_update(g, ref, replace(cfg, unfreeze_weight_activity=False))
+        for j in want:
+            np.testing.assert_array_equal(got[j], want[j])
+
+    def test_no_forward_runs(self, monkeypatch):
+        g, x, t = GRAPHS["conv_pool"]()
+        cfg = ARConfig(n_iters=30, unfreeze_weight_activity=True)
+        s = run_relaxation(g, forward(g, x), t, cfg)
+        calls = []
+        for owner, name in [(DenseNode, "forward"), (ConvNode, "forward"),
+                            (ConvNode, "_activate"), (tensor, "conv2d_cols")]:
+            def counting(*args, _name=name, _fn=getattr(owner, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(owner, name, counting)
+        weight_update(g, s, cfg)
+        assert calls == []
+        forward(g, x)       # the counters do see a forward
+        assert {"forward", "_activate", "conv2d_cols"} <= set(calls)
 
 
 class TestSweepRecord:
