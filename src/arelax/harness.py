@@ -287,7 +287,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
                 pd = relaxation.psi_update(g, state, cfg.ar) if learned else None
                 angle = None
                 if cfg.grad_angle_every and bi % cfg.grad_angle_every == 0:
-                    grads = oracle.backprop(g, acts, tb)
+                    grads = oracle.backprop(g, acts, tb, read=g.parametric_ids())
                     scaled = {j: cfg.ar.eta_theta * grads.param[j] for j in wd}
                     # an all-zero side (eta_theta = 0) has no angle to log
                     if any(d.any() for d in wd.values()) and any(d.any() for d in scaled.values()):
@@ -413,7 +413,9 @@ def _check_graph(label: str, g: Graph, rng: Rng, cfg: ExperimentConfig,
     x, target = random_case(g, rng, gc.batch)
     acts = forward(g, x)
     grads = oracle.backprop(g, acts, target)
-    state = relaxation.run_relaxation(g, acts, target, replace(cfg.ar, n_iters=gc.iters))
+    # node_rel_errors reads every node
+    state = relaxation.run_relaxation(g, acts, target, replace(cfg.ar, n_iters=gc.iters),
+                                      read=range(len(g.nodes)))
     errs = node_rel_errors(g, state, grads, gc.batch)
     worst_node = max(errs, key=errs.get)
     entries.append(GradcheckEntry(label, "ar_vs_oracle", errs[worst_node], gc.tolerance, worst_node))

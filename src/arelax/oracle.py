@@ -41,21 +41,31 @@ def _stacked_losses(output: Tensor, target: Tensor) -> np.ndarray:
     return 0.5 * np.sum((d ** 2).reshape(d.shape[0], -1), axis=1) / target.shape[0]
 
 
-def backprop(g: Graph, acts: Sweep, target) -> GradientSet:
+def backprop(g: Graph, acts: Sweep, target, *, read=None) -> GradientSet:
     """Exact reverse-mode gradients of loss_mse at the given sweep.
 
     Each node applies its own VJP to the sweep record forward saved (the
     im2col columns of a conv input, a max-pool's argmax map), so the
     tie-break is the sweep's; f' comes from the sweep's outputs. Multi-parent
     contributions sum per the multivariate chain rule.
+
+    `read` is the node ids whose gradient the caller reads (None: every
+    node). A node's gradient is computed iff it is in `read` or one of its
+    parents' is, so grads.node holds those nodes and grads.param the
+    parametric ones among them; a VJP into no such parent does not run.
     """
     target = tensor.as_tensor(target)
     batch = acts[g.input].shape[0]
+    needed = set(range(len(g.nodes)) if read is None else read)
+    for j in g.topo_order:
+        if needed.intersection(g.parent_ids[j]):
+            needed.add(j)
     grads = GradientSet()
-    grads.node[g.output] = (acts[g.output] - target) / batch
+    if g.output in needed:
+        grads.node[g.output] = (acts[g.output] - target) / batch
 
     for j in reversed(g.topo_order):
-        if j == g.input:
+        if j == g.input or j not in needed:
             continue
         node = g.nodes[j]
         gj = grads.node[j]
@@ -64,8 +74,11 @@ def backprop(g: Graph, acts: Sweep, target) -> GradientSet:
             if fp is not None:
                 gj = fp * gj
             grads.param[j] = node.outer(gj, acts.saved[j])
-        for p, contribution in zip(g.parent_ids[j], node.vjp(gj, acts.saved[j])):
-            _accumulate(grads, p, contribution)
+        ps = g.parent_ids[j]
+        if needed.intersection(ps):
+            for p, contribution in zip(ps, node.vjp(gj, acts.saved[j])):
+                if p in needed:
+                    _accumulate(grads, p, contribution)
 
     return grads
 

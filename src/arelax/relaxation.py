@@ -11,7 +11,9 @@ that node (scaled by batch size, since the loss averages over the batch):
 One children-first sweep (_sweep) runs this phase with a per-node
 combine: relax_step is the sweep with the update above, and the closed
 form of run_relaxation one sweep per power of the transport with a Horner
-combine.
+combine. The last step updates only the nodes whose activity the caller
+reads (by default what the updates read), and the sweeps before it only
+what that step reads.
 
 The per-edge VJP transports a child's relaxing activity back to its parent
 through the local Jacobian evaluated at the frozen feedforward values: for
@@ -146,7 +148,9 @@ class RelaxState:
     per-node kernel cases (perfbench/kernels.py) read them.
 
     The sweeps replace entries of x and never write into them; the input's
-    entry is never replaced.
+    entry is never replaced. run_relaxation returns x with None at every
+    node outside its read set but the input, so a read of an activity the
+    run did not compute fails instead of returning a stale sweep term.
 
     outers holds the batch-mean update outer products of the learned-psi
     nodes, which weight_update computes and psi_update reads again. A key
@@ -156,7 +160,7 @@ class RelaxState:
     """
 
     xbar: list[Tensor]
-    x: list[Tensor]
+    x: list[Tensor | None]
     saved: list
     eps_bar: Tensor
     fprime_bar: dict[int, Tensor] = field(default_factory=dict)
@@ -204,32 +208,37 @@ def _scale_by_fprime(g: Graph, s: RelaxState, cfg: ARConfig, j: int, v: Tensor, 
     return s.fprime_bar[j] * v
 
 
-def _depth(g: Graph) -> list[int]:
-    """depth[j], the edge count of the longest path of non-input nodes that
-    ends at node j, and -1 at the input, which no sweep (_sweep) visits or
-    sends into."""
-    depth = [-1] * len(g.nodes)
-    for j in g.topo_order:
-        for p in g.parent_ids[j]:
-            depth[j] = max(depth[j], depth[p] + 1)
-    return depth
+def _read_set(g: Graph, cfg: ARConfig, read) -> set[int]:
+    """The node ids whose final activity run_relaxation's caller reads,
+    the input left out. `read` None means what weight_update and
+    psi_update read under cfg: the parametric nodes, plus their parents
+    when an unfrozen weight-side setting re-reads them."""
+    if read is None:
+        read = set(g.parametric_ids())
+        if cfg.unfreeze_weight_deriv or cfg.unfreeze_weight_activity:
+            read.update(p for j in g.parametric_ids() for p in g.parent_ids[j])
+    return set(read) - {g.input}
 
 
-def _sweep(g: Graph, s: RelaxState, cfg: ARConfig, depth: list[int], k: int, combine,
+def _children(g: Graph, nodes: set[int]) -> set[int]:
+    """The nodes with a parent in `nodes`; never the input."""
+    return {j for j, ps in enumerate(g.parent_ids) if nodes.intersection(ps)}
+
+
+def _sweep(g: Graph, s: RelaxState, cfg: ARConfig, live: set[int], combine,
            *, send: bool = True, iteration: int = 0) -> None:
-    """Visit the nodes with depth >= k in reverse topological order. Node j
-    runs its VJP on its pre-update activity into its parents with
-    depth >= k (if `send`), then takes s.x[j] = combine(j, incoming), the
-    sum of what its children sent (None if nothing was). Its own VJP and
-    its children's unfrozen f' read s.x[j] before it is replaced, so the
-    pass is synchronous. A non-finite forward in an unfrozen f' is a
-    DivergenceError at j and `iteration`."""
+    """One children-first pass in reverse topological order. A node with a
+    live parent runs its VJP on its pre-update activity into its live
+    parents (if `send`); a live node j then takes s.x[j] = combine(j,
+    incoming), the sum of what its children sent (None if nothing was).
+    A node's own VJP and its children's unfrozen f' read s.x[j] before it
+    is replaced, so the pass is synchronous; the other entries of s.x are
+    left as they are. `live` never holds the input. A non-finite forward
+    in an unfrozen f' is a DivergenceError at j and `iteration`."""
     incoming: dict[int, Tensor] = {}
     for j in reversed(g.topo_order):
-        if depth[j] < k:
-            continue
         ps = g.parent_ids[j]
-        if send and any(depth[p] >= k for p in ps):
+        if send and any(p in live for p in ps):
             node = g.nodes[j]
             try:
                 if isinstance(node, PARAMETRIC):
@@ -241,32 +250,44 @@ def _sweep(g: Graph, s: RelaxState, cfg: ARConfig, depth: list[int], k: int, com
             except NonFiniteError as exc:
                 raise DivergenceError(j, iteration, str(exc)) from exc
             for p, contribution in zip(ps, sent):
-                if depth[p] >= k:
+                if p in live:
                     incoming[p] = incoming[p] + contribution if p in incoming else contribution
-        s.x[j] = combine(j, incoming.pop(j, None))
+        if j in live:
+            s.x[j] = combine(j, incoming.pop(j, None))
 
 
-def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0) -> RelaxState:
-    """One synchronous step x <- x + eta_x * dx, the sweep at k = 0 with dx
-    from pre-step values. Sets last_max_dx to max |dx|, and raises
-    DivergenceError at the first node reached, children first, whose new
-    activity is non-finite or above DIVERGENCE_LIMIT."""
+def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0,
+               read=None) -> RelaxState:
+    """One synchronous step x <- x + eta_x * dx, with dx from pre-step
+    values, at the nodes in `read` (None: every non-input node). Only the
+    VJPs into those nodes run; every other entry of s.x is left as it is.
+    Sets last_max_dx to max |dx| over those nodes, and raises
+    DivergenceError at the first of them reached, children first, whose
+    new activity is non-finite or above DIVERGENCE_LIMIT."""
     s.outers.clear()
+    live = _read_set(g, cfg, range(len(g.nodes)) if read is None else read)
     max_dx = 0.0
 
     def leak(j: int, incoming: Tensor | None) -> Tensor:
+        # one new buffer per node, holding dx and then the new activity;
+        # never written: incoming, which may alias a child's activity
         nonlocal max_dx
-        dx = -s.x[j] - s.eps_bar if j == g.output else -s.x[j] + incoming
-        # dx is dropped before the guard's reduction: three temporaries at most
-        max_dx = max(max_dx, float(np.max(np.abs(dx))))
-        x = s.x[j] + cfg.eta_x * dx
-        del dx
-        # NaN fails the comparison, so one reduction also catches non-finite values
-        if not float(np.max(np.abs(x))) <= DIVERGENCE_LIMIT:
+        x_old = s.x[j]
+        x = -x_old
+        if j == g.output:
+            x -= s.eps_bar
+        else:
+            x += incoming
+        max_dx = max(max_dx, max(float(x.max()), -float(x.min())))
+        x *= cfg.eta_x
+        x += x_old
+        # x.max() is NaN if x holds a NaN, and max() keeps a NaN first
+        # argument, so the comparison fails: non-finite values trip it too
+        if not max(float(x.max()), -float(x.min())) <= DIVERGENCE_LIMIT:
             raise DivergenceError(j, iteration)
         return x
 
-    _sweep(g, s, cfg, _depth(g), 0, leak, iteration=iteration)
+    _sweep(g, s, cfg, live, leak, iteration=iteration)
     s.last_max_dx = max_dx
     return s
 
@@ -283,21 +304,26 @@ def _cascade_coefficients(steps: int, depth: int, eta: float) -> list[tuple[floa
     return coeffs
 
 
-def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int) -> None:
-    """Set s.x to the frozen-derivative state after `steps` steps from xbar,
-    x(S) = sum_k J^k v_k, by Horner's rule r <- J r + v_k (see
-    run_relaxation): one sweep per k, top term first, with the combine
-    a_k xbar + J r (- eta c_k eps_bar at the output). Sweep k's VJPs read
-    sweep k + 1's r, still in s.x; the top sweep has no J r part.
+def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int, read: set[int]) -> None:
+    """Set s.x, at the nodes in `read` and their children, to the
+    frozen-derivative state after `steps` steps from xbar, x(S) = sum_k
+    J^k v_k, by Horner's rule r <- J r + v_k (see run_relaxation): one
+    sweep per k, top term first, with the combine a_k xbar + J r
+    (- eta c_k eps_bar at the output). Sweep k's VJPs read sweep k + 1's
+    r, still in s.x; the top sweep has no J r part.
 
-    Sweep k's r is multiplied by J k more times before it is read, and J^k
-    zeroes a share at any node with depth < k, so sweep k's depth >= k
-    pruning drops only zeroed terms: a node with no parent of depth >= k
-    runs no VJP, and an overflow in a pruned term is never computed. The
-    other entries of s.x stay stale until sweep 0 sets them all.
+    The last step reads x(S) at live_0 = read + children(read), and sweep
+    k's r at a node is read only through a parent live in sweep k - 1, so
+    sweep k updates live_k = children(live_{k-1}) and transports only into
+    it. A node with no live parent runs no VJP, and an overflow in a pruned
+    term is never computed. When every node is read, live_k is the set of
+    nodes with a chain of k non-input ancestors, the nodes where J^k keeps
+    a share. The other entries of s.x are left stale.
     """
-    depth = _depth(g)
-    coeffs = _cascade_coefficients(steps, max(depth), cfg.eta_x)
+    lives = [read | _children(g, read)]
+    while len(lives) <= steps and (below := _children(g, lives[-1])):
+        lives.append(below)
+    coeffs = _cascade_coefficients(steps, len(lives) - 1, cfg.eta_x)
     top = len(coeffs) - 1
     for k in range(top, -1, -1):
         a, ec = coeffs[k]
@@ -310,13 +336,18 @@ def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int) -> 
                 r -= ec * s.eps_bar
             return r
 
-        _sweep(g, s, cfg, depth, k, horner, send=k < top, iteration=steps)
+        _sweep(g, s, cfg, lives[k], horner, send=k < top, iteration=steps)
 
 
-def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
-    """Relax the activities for n_iters steps from x(0) = xbar; last_max_dx
-    on the returned state is the final step's max |dx|, the convergence
-    diagnostic.
+def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -> RelaxState:
+    """Relax the activities for n_iters steps from x(0) = xbar and return
+    the state at the nodes in `read`, the node ids whose final activity the
+    caller reads. None means what weight_update and psi_update read under
+    cfg: the parametric nodes, plus their parents under
+    unfreeze_weight_deriv or unfreeze_weight_activity. The input is never
+    in it, and its entry stays xbar; every other entry of x outside `read`
+    is None on return. last_max_dx is the final step's max |dx| over the
+    nodes in `read`, the convergence diagnostic.
 
     With frozen derivatives (unfreeze_relax_deriv off) one step is linear,
     x <- M x + eta_x * b with M = (1 - eta_x) I + eta_x J, where J is the
@@ -333,30 +364,39 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
     vanishes as T grows.
 
     Engine selection. With unfreeze_relax_deriv the step is nonlinear and
-    relax_step, the reference engine, runs n_iters times. Otherwise the
-    state after S = n_iters - 1 steps is computed in closed form,
+    relax_step, the reference engine, runs n_iters times, over every node
+    but on the last step, which updates only the nodes in `read`.
+    Otherwise the state after S = n_iters - 1 steps is computed in closed
+    form,
 
         x(S) = M^S xbar + eta_x sum_{t<S} M^t b = sum_{k<=K} J^k v_k,
         v_k  = a_k xbar - c_k eta_x eps_bar [output only],  K = min(D, S),
         a_k  = C(S,k) (1-eta_x)^(S-k) eta_x^k,
         c_k  = sum_{t<S} C(t,k) (1-eta_x)^(t-k) eta_x^k,
 
-    in K + 1 pruned sweeps (_closed_form_advance; D(D+1)/2 transports on a
-    chain of D + 1 relaxing nodes) instead of S steps, and relax_step takes
-    the last step, so last_max_dx and the divergence guard come from the
+    in at most K + 1 sweeps pruned to what the last step reads
+    (_closed_form_advance; D(D+1)/2 transports on a chain of D + 1
+    relaxing nodes) instead of S steps, and relax_step takes the last step
+    over `read`, so last_max_dx and the divergence guard come from the
     reference code. The weight-side variants leave J unchanged and take
-    this path. On it the guard sees the final state only, and a
-    DivergenceError reports iteration n_iters - 1: a transient overshoot
-    past DIVERGENCE_LIMIT that the step-by-step engine would flag is not
-    reported, and neither is an overflow in a pruned sweep term.
+    this path. On it the guard sees the final state of the nodes in `read`
+    only, and a DivergenceError reports iteration n_iters - 1: a transient
+    overshoot past DIVERGENCE_LIMIT that the step-by-step engine would flag
+    is not reported, and neither is an overflow in a pruned sweep term.
     """
+    read = _read_set(g, cfg, read)
     s = init_state(g, acts, target, cfg)
+    last = cfg.n_iters - 1
     if cfg.unfreeze_relax_deriv:
-        for t in range(cfg.n_iters):
+        for t in range(last):
             relax_step(g, s, cfg, iteration=t)
-        return s
-    _closed_form_advance(g, s, cfg, cfg.n_iters - 1)
-    return relax_step(g, s, cfg, iteration=cfg.n_iters - 1)
+    else:
+        _closed_form_advance(g, s, cfg, last, read)
+    relax_step(g, s, cfg, iteration=last, read=read)
+    for j in range(len(s.x)):
+        if j != g.input and j not in read:
+            s.x[j] = None
+    return s
 
 
 def _update_outer(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> Tensor:

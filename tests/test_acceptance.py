@@ -109,7 +109,7 @@ def equivalence_suite():
         acts = forward(g, x)
         grads = backprop(g, acts, t)
         cfg = ARConfig(eta_x=C2_ETA_X, n_iters=C2_SHORT_ITERS)
-        s = run_relaxation(g, acts, t, cfg)
+        s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
         x100 = [a.copy() for a in s.x]
         for it in range(C2_SHORT_ITERS, 500):
             relax_step(g, s, cfg, iteration=it)

@@ -532,7 +532,8 @@ class TestGradcheck:
         g = build(models.reduced_spec(cfg.model), rng)
         x, target = random_case(g, rng, cfg.gradcheck.batch)
         acts = forward(g, x)
-        state = relaxation.run_relaxation(g, acts, target, replace(cfg.ar, n_iters=cfg.gradcheck.iters))
+        state = relaxation.run_relaxation(g, acts, target, replace(cfg.ar, n_iters=cfg.gradcheck.iters),
+                                          read=range(len(g.nodes)))
         errs = node_rel_errors(g, state, oracle.backprop(g, acts, target), cfg.gradcheck.batch)
         assert entry.error == max(errs.values())
         assert entry.error > 1e-2     # the baseline rule would reach the oracle

@@ -29,6 +29,15 @@ CONV_POOL_SPEC = [
 ]
 
 
+# an add node with the input as one of its parents
+ADD_FROM_INPUT_SPEC = [
+    {"kind": "input", "shape": (6,)},
+    {"kind": "dense", "units": 6, "activation": "tanh"},
+    {"kind": "add", "parents": [0, 1]},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
+
+
 def one_hot_targets(rng: Rng, batch: int, k: int):
     t = np.zeros((batch, k))
     for b in range(batch):
@@ -114,6 +123,30 @@ class TestBackprop:
             np.testing.assert_allclose(g2.node[i], c * g1.node[i], rtol=1e-13)
         for j in g1.param:
             np.testing.assert_allclose(g2.param[j], c * g1.param[j], rtol=1e-13)
+
+    @pytest.mark.parametrize("spec", [CONV_POOL_SPEC, skip_dag_spec(width=5, class_count=3), ADD_FROM_INPUT_SPEC],
+                             ids=["conv_pool", "skip_dag", "add_from_input"])
+    def test_parametric_read_set_skips_the_input_vjp(self, monkeypatch, spec):
+        rng = Rng(9)
+        g = build(spec, rng)
+        x, t = random_case(g, rng, 3)
+        acts = forward(g, x)
+        full = backprop(g, acts, t)
+        ran = []
+        (fed,) = [j for j, ps in enumerate(g.parent_ids) if ps == (g.input,)]
+        vjp = g.nodes[fed].vjp
+        monkeypatch.setattr(g.nodes[fed], "vjp", lambda *a: ran.append(fed) or vjp(*a))
+        grads = backprop(g, acts, t, read=g.parametric_ids())
+        assert ran == []
+        assert grads.param.keys() == full.param.keys()
+        for j in full.param:
+            np.testing.assert_array_equal(grads.param[j], full.param[j])
+        # the parametric nodes and what lies between them and the output
+        assert g.input not in grads.node and set(g.parametric_ids()) <= grads.node.keys()
+        for i in grads.node:
+            np.testing.assert_array_equal(grads.node[i], full.node[i])
+        backprop(g, acts, t)        # the counter does see the full backprop
+        assert ran == [fed]
 
 
 class TestFiniteDiff:

@@ -66,12 +66,24 @@ ADD_FROM_INPUT_SPEC = [
     {"kind": "dense", "units": 3, "activation": "linear"},
 ]
 
+# two branches that meet only at an add node, whose VJP sends one array
+# to both
+DIAMOND_SPEC = [
+    {"kind": "input", "shape": (5,)},
+    {"kind": "dense", "units": 6, "activation": "tanh"},
+    {"kind": "dense", "units": 6, "activation": "tanh", "parents": [1]},
+    {"kind": "dense", "units": 6, "activation": "linear", "parents": [1]},
+    {"kind": "add", "parents": [2, 3]},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
+
 GRAPHS = {
     "chain_a": lambda: random_mlp(80),
     "chain_b": lambda: random_mlp(81),
     "conv_pool": lambda: spec_case(CONV_POOL_SPEC, 32, 3),
     "skip_dag": lambda: spec_case(skip_dag_spec(width=8, class_count=4), 30, 4),
     "add_from_input": lambda: spec_case(ADD_FROM_INPUT_SPEC, 33, 4),
+    "diamond": lambda: spec_case(DIAMOND_SPEC, 34, 3),
 }
 
 
@@ -93,7 +105,7 @@ def step_by_step(g, acts, t, cfg):
 
 
 def assert_engines_agree(g, acts, t, cfg, tol=1e-12):
-    got = run_relaxation(g, acts, t, cfg)
+    got = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
     want = step_by_step(g, acts, t, cfg)
     where = f"T={cfg.n_iters} eta_x={cfg.eta_x}"
     for i in range(len(g.nodes)):
@@ -231,7 +243,7 @@ class TestRelaxStep:
         assert exc.value.node >= 1
         assert exc.value.iteration >= 0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10 * DIVERGENCE_LIMIT])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10 * DIVERGENCE_LIMIT, -10 * DIVERGENCE_LIMIT])
     def test_guard_trips_on_nonfinite_or_large_activity(self, bad):
         g, x, t = random_mlp(4)
         acts = forward(g, x)
@@ -349,8 +361,8 @@ class TestHeightPruning:
     """Horner sweep k transports only into nodes whose share J^k keeps."""
 
     @pytest.mark.parametrize("name, n_iters, node, calls", [
-        ("mlp4", 100, 2, 2),    # first dense layer into flatten: sweep 0 and the last step
-        ("cnn", 50, 3, 3),      # conv2 into the pool: sweeps 1 and 0 and the last step
+        ("mlp4", 100, 2, 0),    # first dense layer into flatten, which nothing reads
+        ("cnn", 50, 3, 2),      # conv2 into the pool: sweeps 1 and 0, for conv1's last step
     ])
     def test_vjp_calls_per_relaxation(self, monkeypatch, name, n_iters, node, calls):
         rng = Rng(90)
@@ -370,7 +382,7 @@ class TestHeightPruning:
         calls = []
         vjp = DenseNode.vjp
         monkeypatch.setattr(DenseNode, "vjp", lambda *a: calls.append(1) or vjp(*a))
-        monkeypatch.setattr(relaxation, "relax_step", lambda g, s, cfg, iteration: s)
+        monkeypatch.setattr(relaxation, "relax_step", lambda g, s, cfg, iteration, **kw: s)
         run_relaxation(g, acts, [[0.0]], ARConfig(n_iters=50))
         assert len(calls) == d * (d + 1) // 2
 
@@ -390,6 +402,109 @@ class TestHeightPruning:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
             step_by_step(g, acts, [[0.0]], cfg)
         assert (exc.value.node, exc.value.iteration) == (1, 0)
+
+
+READ_VARIANTS = {
+    "baseline": {},
+    "learned_psi": {"backwards_mode": "learned_psi"},
+    "weight_deriv": {"unfreeze_weight_deriv": True},
+    "weight_activity": {"unfreeze_weight_activity": True},
+    "relax_deriv": {"unfreeze_relax_deriv": True},
+    "relax_and_weight_deriv": {"unfreeze_relax_deriv": True, "unfreeze_weight_deriv": True},
+}
+
+
+def read_by_updates(g, cfg) -> set:
+    """What weight_update and psi_update read of the relaxed state."""
+    read = set(g.parametric_ids())
+    if cfg.unfreeze_weight_deriv or cfg.unfreeze_weight_activity:
+        read |= {p for j in g.parametric_ids() for p in g.parent_ids[j]}
+    return read
+
+
+class TestReadSet:
+    """run_relaxation computes only what its read set needs."""
+
+    # VJP calls per node id: T = 50 with frozen relaxation derivatives (the
+    # Horner sweeps and the last step), T = 5 with unfrozen ones (four full
+    # steps and the last). mlp4 is input, flatten, four dense nodes; cnn is
+    # input, conv, pool, conv, flatten, two dense nodes; skip_dag is input,
+    # dense, dense, add, dense.
+    @pytest.mark.parametrize("name, variant, calls", [
+        ("mlp4", "baseline", [0, 0, 0, 2, 3, 4]),       # nothing reads flatten
+        ("mlp4", "learned_psi", [0, 0, 0, 2, 3, 4]),
+        ("mlp4", "weight_deriv", [0, 0, 2, 3, 4, 5]),   # f' of dense 2 reads flatten
+        ("mlp4", "weight_activity", [0, 0, 2, 3, 4, 5]),
+        ("mlp4", "relax_deriv", [0, 0, 4, 5, 5, 5]),
+        ("mlp4", "relax_and_weight_deriv", [0, 0, 5, 5, 5, 5]),
+        ("cnn", "baseline", [0, 0, 2, 2, 4, 4, 6]),     # the last step skips conv2 and dense 5
+        ("cnn", "learned_psi", [0, 0, 2, 2, 4, 4, 6]),
+        ("cnn", "weight_deriv", [0, 0, 2, 3, 4, 5, 6]),
+        ("cnn", "weight_activity", [0, 0, 2, 3, 4, 5, 6]),
+        ("cnn", "relax_deriv", [0, 0, 5, 4, 5, 4, 5]),
+        ("cnn", "relax_and_weight_deriv", [0, 0, 5, 5, 5, 5, 5]),
+        ("skip_dag", "baseline", [0, 0, 2, 3, 3]),      # the last step skips the head
+        ("skip_dag", "learned_psi", [0, 0, 2, 3, 3]),
+        ("skip_dag", "weight_deriv", [0, 0, 2, 3, 4]),
+        ("skip_dag", "weight_activity", [0, 0, 2, 3, 4]),
+        ("skip_dag", "relax_deriv", [0, 0, 5, 5, 4]),
+        ("skip_dag", "relax_and_weight_deriv", [0, 0, 5, 5, 5]),
+    ])
+    def test_vjp_calls_per_node(self, monkeypatch, name, variant, calls):
+        rng = Rng(90)
+        spec = skip_dag_spec() if name == "skip_dag" else models.reduced_spec(models.ModelSpec(name))
+        g = build(spec, rng)
+        x, t = random_case(g, rng, 2)
+        acts = forward(g, x)
+        seen = [0] * len(g.nodes)
+        for j, node in enumerate(g.nodes):
+            if hasattr(node, "vjp"):
+                def counting(*a, _j=j, _vjp=node.vjp):
+                    seen[_j] += 1
+                    return _vjp(*a)
+                monkeypatch.setattr(node, "vjp", counting)
+        cfg = ARConfig(**READ_VARIANTS[variant])
+        run_relaxation(g, acts, t, replace(cfg, n_iters=5 if cfg.unfreeze_relax_deriv else 50))
+        assert seen == calls
+
+    @pytest.mark.parametrize("graph, read", [("conv_pool", {3}), ("diamond", {2, 3})])
+    def test_relax_step_leaves_unread_entries_alone(self, graph, read):
+        # what a VJP sent can alias the sender's activity (flatten's reshape,
+        # add's pass-through to both parents); the step must not write into it
+        g, x, t = GRAPHS[graph]()
+        acts = forward(g, x)
+        cfg = ARConfig(n_iters=3)
+        s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
+        before = [a.copy() for a in s.x]
+        want = init_state(g, acts, t, cfg)
+        want.x = [a.copy() for a in before]
+        relax_step(g, want, cfg)
+        relax_step(g, s, cfg, read=read)
+        for i in range(len(g.nodes)):
+            np.testing.assert_array_equal(s.x[i], want.x[i] if i in read else before[i])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(conv_dags(), st.sampled_from(sorted(READ_VARIANTS)), st.sampled_from([1, 3, 30]))
+    def test_default_read_set_matches_every_node(self, case, variant, n_iters):
+        spec, seed, batch = case
+        g, x, t = spec_case(spec, seed, batch)
+        acts = forward(g, x)
+        cfg = ARConfig(n_iters=n_iters, **READ_VARIANTS[variant])
+        got = run_relaxation(g, acts, t, cfg)
+        want = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
+        read = read_by_updates(g, cfg)
+        for i in range(len(g.nodes)):
+            if i in read or i == g.input:
+                np.testing.assert_array_equal(got.x[i], want.x[i])
+            else:
+                assert got.x[i] is None, f"node {i}"
+        assert got.last_max_dx <= want.last_max_dx
+        updates = [weight_update, psi_update] if cfg.backwards_mode == "learned_psi" else [weight_update]
+        for update in updates:
+            dg, dw = update(g, got, cfg), update(g, want, cfg)
+            assert dg.keys() == dw.keys()
+            for j in dw:
+                np.testing.assert_array_equal(dg[j], dw[j])
 
 
 def conv_psi_case():
@@ -430,7 +545,7 @@ class TestOuterCache:
 
     def test_relax_step_empties_the_cache(self):
         g, acts, t, cfg = conv_psi_case()
-        s = run_relaxation(g, acts, t, cfg)
+        s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
         first = weight_update(g, s, cfg)
         relax_step(g, s, cfg, iteration=cfg.n_iters)
         second = weight_update(g, s, cfg)
@@ -451,7 +566,7 @@ class TestOuterCache:
         # one state updated under the baseline, then under a variant, gives
         # the variant's updates as a fresh state would
         g, acts, t, cfg = conv_psi_case()
-        s = run_relaxation(g, acts, t, cfg)
+        s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
         weight_update(g, s, cfg)
         psi_update(g, s, cfg)
         other = replace(cfg, **variant)
@@ -568,7 +683,7 @@ class TestConvergence:
         x, t = random_case(g, rng, 4)
         acts = forward(g, x)
         grads = backprop(g, acts, t)
-        s = run_relaxation(g, acts, t, ARConfig(n_iters=500))
+        s = run_relaxation(g, acts, t, ARConfig(n_iters=500), read=range(len(g.nodes)))
         worst = max(node_rel_errors(g, s, grads, 4).values())
         assert worst <= 1e-6
 
@@ -585,7 +700,7 @@ class TestConvergence:
         x, t = random_case(g, rng, 3)
         acts = forward(g, x)
         grads = backprop(g, acts, t)
-        s = run_relaxation(g, acts, t, ARConfig(n_iters=500))
+        s = run_relaxation(g, acts, t, ARConfig(n_iters=500), read=range(len(g.nodes)))
         worst = max(node_rel_errors(g, s, grads, 3).values())
         assert worst <= 1e-6
 
