@@ -18,10 +18,12 @@ AR_DATA_DIR environment variable).
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +31,6 @@ from .tensor import Rng, Tensor
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-CIFAR10_CLASSES = 10
-CIFAR100_CLASSES = 100
 
 
 class DataError(ValueError):
@@ -79,75 +78,74 @@ def _read_bytes(path: str) -> bytes:
     return raw
 
 
-def load_idx(images_path: str, labels_path: str, name: str = "mnist", split: str = "train") -> Dataset:
-    """Parse an IDX image/label file pair into a normalized Dataset."""
-    raw = _read_bytes(images_path)
-    if len(raw) < 16:
-        raise DataError(f"{images_path}: too short for an IDX image header")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    expected = 16 + n * rows * cols
+def _read_idx(path: str, magic: int, what: str, ndim: int) -> tuple[list[int], np.ndarray]:
+    """The `ndim` extents and the byte payload of the IDX `what` ("image"
+    or "label") file at path, after its header length, magic and payload
+    length are checked."""
+    raw = _read_bytes(path)
+    head = 4 * (1 + ndim)
+    if len(raw) < head:
+        raise DataError(f"{path}: too short for an IDX {what} header")
+    got, *dims = struct.unpack(f">{1 + ndim}I", raw[:head])
+    if got != magic:
+        raise DataError(f"{path}: bad magic 0x{got:08x}, expected 0x{magic:08x}")
+    expected = head + math.prod(dims)
     if len(raw) != expected:
-        raise DataError(f"{images_path}: truncated payload, expected {expected} bytes, got {len(raw)}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    images = pixels.astype(np.float64).reshape(n, 1, rows, cols) / 255.0
+        raise DataError(f"{path}: truncated payload, expected {expected} bytes, got {len(raw)}")
+    return dims, np.frombuffer(raw, dtype=np.uint8, offset=head)
 
-    raw = _read_bytes(labels_path)
-    if len(raw) < 8:
-        raise DataError(f"{labels_path}: too short for an IDX label header")
-    magic, nl = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataError(f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-    if len(raw) != 8 + nl:
-        raise DataError(f"{labels_path}: truncated payload, expected {8 + nl} bytes, got {len(raw)}")
+
+def load_idx(images_path: str, labels_path: str, name: str = "mnist", split: str = "train") -> Dataset:
+    """Parse an IDX image/label file pair, each read by _read_idx, into a
+    normalized Dataset; the counts must agree and every label be below 10."""
+    (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "image", 3)
+    (nl,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", 1)
     if nl != n:
         raise DataError(f"image/label count mismatch: {n} images vs {nl} labels")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8)
     if labels.size and labels.max() > 9:
         raise DataError(f"{labels_path}: label byte {labels.max()} out of range for 10 classes")
+    images = pixels.astype(np.float64).reshape(n, 1, rows, cols) / 255.0
     return Dataset(images, one_hot(labels.astype(np.int64), 10), split, name)
 
 
-def _parse_cifar_records(raw: bytes, path: str, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    record = 3073 if variant == "cifar10" else 3074
-    if len(raw) % record:
-        raise DataError(f"{path}: size {len(raw)} is not a multiple of the {record}-byte record")
-    buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
-    if variant == "cifar10":
-        labels = buf[:, 0].astype(np.int64)
-        classes = CIFAR10_CLASSES
-        pixels = buf[:, 1:]
-    else:
-        labels = buf[:, 1].astype(np.int64)  # fine label; byte 0 is the coarse label
-        classes = CIFAR100_CLASSES
-        pixels = buf[:, 2:]
-    if labels.size and labels.max() >= classes:
-        raise DataError(f"{path}: label byte {labels.max()} out of range for {classes} classes")
-    images = pixels.astype(np.float64).reshape(-1, 3, 32, 32) / 255.0
-    return images, labels
+class _CifarVariant(NamedTuple):
+    label_bytes: int    # opening each record; the last is the label used
+    classes: int
+    train: list[str]    # batch files
+    test: list[str]
+
+
+_CIFAR = {
+    "cifar10": _CifarVariant(1, 10, [f"data_batch_{i}.bin" for i in range(1, 6)], ["test_batch.bin"]),
+    "cifar100": _CifarVariant(2, 100, ["train.bin"], ["test.bin"]),
+}
 
 
 def load_cifar(directory: str, variant: str, split: str = "train") -> Dataset:
-    """Load CIFAR-10/100 binary batch files from a directory."""
-    if variant not in ("cifar10", "cifar100"):
+    """Load CIFAR-10/100 binary batch files from a directory, as the
+    variant's row of _CIFAR describes them. Each file is checked (present,
+    whole records, labels in range) before the next is read; the records
+    of all files are converted to float64 once."""
+    if variant not in _CIFAR:
         raise DataError(f"unknown CIFAR variant {variant!r}")
-    if variant == "cifar10":
-        files = [f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train" else ["test_batch.bin"]
-    else:
-        files = ["train.bin"] if split == "train" else ["test.bin"]
-    images_parts, labels_parts = [], []
-    for fname in files:
+    v = _CIFAR[variant]
+    record = v.label_bytes + 3 * 32 * 32
+    parts = []
+    for fname in v.train if split == "train" else v.test:
         path = os.path.join(directory, fname)
         if not os.path.exists(path):
             raise DataError(f"missing CIFAR batch file: {path}")
-        imgs, labs = _parse_cifar_records(_read_bytes(path), path, variant)
-        images_parts.append(imgs)
-        labels_parts.append(labs)
-    images = np.concatenate(images_parts)
-    labels = np.concatenate(labels_parts)
-    classes = CIFAR10_CLASSES if variant == "cifar10" else CIFAR100_CLASSES
-    return Dataset(images, one_hot(labels, classes), split, variant)
+        raw = _read_bytes(path)
+        if len(raw) % record:
+            raise DataError(f"{path}: size {len(raw)} is not a multiple of the {record}-byte record")
+        buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
+        labels = buf[:, v.label_bytes - 1]
+        if labels.size and labels.max() >= v.classes:
+            raise DataError(f"{path}: label byte {labels.max()} out of range for {v.classes} classes")
+        parts.append(buf)
+    buf = np.concatenate(parts)
+    images = buf[:, v.label_bytes:].astype(np.float64).reshape(-1, 3, 32, 32) / 255.0
+    return Dataset(images, one_hot(buf[:, v.label_bytes - 1].astype(np.int64), v.classes), split, variant)
 
 
 class Batches(Sequence):
@@ -207,16 +205,15 @@ def _find_idx_file(root: str, stem: str) -> str | None:
 
 
 def resolve_dir(name: str, root: str) -> str | None:
+    """The first of the dataset's directories under root that holds its
+    first train file."""
     for sub in _SUBDIRS[name]:
         d = os.path.normpath(os.path.join(root, sub))
-        if os.path.isdir(d):
-            if name in ("mnist", "fashion_mnist"):
-                if _find_idx_file(d, _MNIST_FILES["train"][0]):
-                    return d
-            else:
-                probe = "data_batch_1.bin" if name == "cifar10" else "train.bin"
-                if os.path.exists(os.path.join(d, probe)):
-                    return d
+        if name in _CIFAR:
+            if os.path.exists(os.path.join(d, _CIFAR[name].train[0])):
+                return d
+        elif _find_idx_file(d, _MNIST_FILES["train"][0]):
+            return d
     return None
 
 
@@ -227,11 +224,9 @@ def load_dataset(name: str, root: str, split: str) -> Dataset:
     d = resolve_dir(name, root)
     if d is None:
         raise DataError(f"dataset {name!r} not found under {root!r}")
-    if name in ("mnist", "fashion_mnist"):
-        img_stem, lab_stem = _MNIST_FILES[split]
-        img = _find_idx_file(d, img_stem)
-        lab = _find_idx_file(d, lab_stem)
-        if img is None or lab is None:
-            raise DataError(f"missing IDX files for {name} {split} under {d}")
-        return load_idx(img, lab, name=name, split=split)
-    return load_cifar(d, name, split=split)
+    if name in _CIFAR:
+        return load_cifar(d, name, split=split)
+    img, lab = (_find_idx_file(d, stem) for stem in _MNIST_FILES[split])
+    if img is None or lab is None:
+        raise DataError(f"missing IDX files for {name} {split} under {d}")
+    return load_idx(img, lab, name=name, split=split)

@@ -207,8 +207,13 @@ class Sweep(list):
 
 @dataclass
 class Graph:
+    """A validated DAG: per node id its node kind, parents (in the order
+    forward and vjp take them), children and per-sample shape; a
+    topological order; the one input, and the one output (no children)."""
+
     nodes: list
     parent_ids: list[tuple[int, ...]]
+    children: list[tuple[int, ...]]
     topo_order: list[int]
     output: int
     input: int
@@ -217,8 +222,17 @@ class Graph:
     def parametric_ids(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if isinstance(n, PARAMETRIC)]
 
+    def below(self, nodes) -> list[int]:
+        """The nodes reachable by a path of one or more edges from a node
+        in `nodes`, in topological order."""
+        start, reached = set(nodes), set()
+        for i in self.topo_order:
+            if i in start or i in reached:
+                reached.update(self.children[i])
+        return [i for i in self.topo_order if i in reached]
 
-def _toposort(n: int, parent_ids: list[tuple[int, ...]]) -> list[int]:
+
+def _toposort(n: int, parent_ids: list[tuple[int, ...]]) -> tuple[list[int], list[tuple[int, ...]]]:
     children: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for i, ps in enumerate(parent_ids):
@@ -236,7 +250,7 @@ def _toposort(n: int, parent_ids: list[tuple[int, ...]]) -> list[int]:
                 queue.append(c)
     if len(order) != n:
         raise GraphError("cycle detected: graph is not a DAG")
-    return order
+    return order, [tuple(c) for c in children]
 
 
 def _param(i: int, item: dict, key: str, shape: tuple[int, ...], fan_in: int, rng: Rng | None) -> Tensor:
@@ -271,7 +285,9 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
     """Validate a node-descriptor list and return a ready Graph.
 
     Raises GraphError on cycles, shape incompatibilities, missing/duplicate
-    input or output nodes, and malformed descriptors.
+    input or output nodes, and malformed descriptors, so a bad graph fails
+    when it is loaded: dense, conv, maxpool and flatten take one parent,
+    conv and maxpool a (C,H,W) one, dense a flat one.
     """
     n = len(spec)
     if n == 0:
@@ -293,14 +309,13 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
                 raise GraphError(f"node {i}: parent index {p} out of range")
         parent_ids.append(ps)
 
-    topo = _toposort(n, parent_ids)
+    topo, children = _toposort(n, parent_ids)
 
     inputs = [i for i, item in enumerate(spec) if item.get("kind") == "input"]
     if len(inputs) != 1:
         raise GraphError(f"graph must have exactly one input node, found {len(inputs)}")
 
-    has_child = {p for ps in parent_ids for p in ps}
-    sinks = [i for i in range(n) if i not in has_child]
+    sinks = [i for i in range(n) if not children[i]]
     if len(sinks) != 1:
         raise GraphError(f"graph must have exactly one output node, found {len(sinks)}: {sinks}")
 
@@ -317,11 +332,16 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
             nodes[i] = InputNode(shape)
             shapes[i] = shape
             continue
-        if kind in ("dense", "conv", "maxpool", "flatten") and len(ps) != 1:
-            raise GraphError(f"node {i}: {kind} takes exactly one parent")
+        if kind in ("dense", "conv", "maxpool", "flatten"):
+            if len(ps) != 1:
+                raise GraphError(f"node {i}: {kind} takes exactly one parent")
+            pshape = shapes[ps[0]]
+            if kind in ("conv", "maxpool"):
+                if len(pshape) != 3:
+                    raise GraphError(f"node {i}: {kind} needs a (C,H,W) parent, got shape {pshape}")
+                c, h, w_ = pshape
 
         if kind == "dense":
-            pshape = shapes[ps[0]]
             if len(pshape) != 1:
                 raise GraphError(
                     f"node {i}: dense needs a flat parent, got shape {pshape} (insert a flatten node)"
@@ -335,10 +355,6 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
             shapes[i] = (units,)
 
         elif kind == "conv":
-            pshape = shapes[ps[0]]
-            if len(pshape) != 3:
-                raise GraphError(f"node {i}: conv needs a (C,H,W) parent, got shape {pshape}")
-            c, h, w_ = pshape
             kernel = item.get("kernel", 5)
             kh, kw = (kernel, kernel) if isinstance(kernel, int) else (kernel[0], kernel[1])
             kh, kw = _positive(i, "kernel", kh), _positive(i, "kernel", kw)
@@ -352,18 +368,14 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
             shapes[i] = (co, h - kh + 1, w_ - kw + 1)
 
         elif kind == "maxpool":
-            pshape = shapes[ps[0]]
-            if len(pshape) != 3:
-                raise GraphError(f"node {i}: maxpool needs a (C,H,W) parent, got shape {pshape}")
-            c, h, w_ = pshape
             if h % 2 or w_ % 2:
                 raise GraphError(f"node {i}: maxpool needs even extents, got {h}x{w_}")
             nodes[i] = MaxPoolNode()
             shapes[i] = (c, h // 2, w_ // 2)
 
         elif kind == "flatten":
-            nodes[i] = FlattenNode(shapes[ps[0]])
-            shapes[i] = (int(np.prod(shapes[ps[0]])),)
+            nodes[i] = FlattenNode(pshape)
+            shapes[i] = (int(np.prod(pshape)),)
 
         elif kind == "add":
             if len(ps) < 2:
@@ -380,6 +392,7 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
     return Graph(
         nodes=nodes,
         parent_ids=parent_ids,
+        children=children,
         topo_order=topo,
         output=sinks[0],
         input=inputs[0],

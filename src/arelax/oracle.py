@@ -50,16 +50,14 @@ def backprop(g: Graph, acts: Sweep, target, *, read=None) -> GradientSet:
     contributions sum per the multivariate chain rule.
 
     `read` is the node ids whose gradient the caller reads (None: every
-    node). A node's gradient is computed iff it is in `read` or one of its
-    parents' is, so grads.node holds those nodes and grads.param the
+    node). A node's gradient is computed iff it is in `read` or below it
+    (Graph.below), so grads.node holds those nodes and grads.param the
     parametric ones among them; a VJP into no such parent does not run.
     """
     target = tensor.as_tensor(target)
     batch = acts[g.input].shape[0]
     needed = set(range(len(g.nodes)) if read is None else read)
-    for j in g.topo_order:
-        if needed.intersection(g.parent_ids[j]):
-            needed.add(j)
+    needed.update(g.below(needed))
     grads = GradientSet()
     if g.output in needed:
         grads.node[g.output] = (acts[g.output] - target) / batch
@@ -108,10 +106,10 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     at each, and the entry is restored (also when the forward raises); an
     input coordinate's copies are the perturbed inputs themselves. The
     copies of node j's activation are stacked on the batch axis, and only
-    the nodes downstream of j run on the stack, once per chunk; any other
-    parent they read is the unperturbed activation, tiled. Each copy's loss
-    is loss_mse over its own rows. A chunk holds at most FD_CHUNK_BYTES of
-    stacked activations, and at least one +h/-h pair.
+    the nodes below j (Graph.below) run on the stack, once per chunk; any
+    other parent they read is the unperturbed activation, tiled. Each
+    copy's loss is loss_mse over its own rows. A chunk holds at most
+    FD_CHUNK_BYTES of stacked activations, and at least one +h/-h pair.
     """
     if h <= 0:
         raise ValueError(f"finite_diff: step must be positive, got {h}")
@@ -136,7 +134,7 @@ def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, v: Tensor,
     """dL/dv by central differences, where v is node j's weight, or the
     input itself when j is the input node, and at() returns node j's
     activation at v's current value."""
-    below = _downstream(g, j)
+    below = g.below([j])
     tiled = {p for i in below for p in g.parent_ids[i]} - set(below) - {j}
     batch = acts[j].shape[0]
     copy_bytes = 8 * batch * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
@@ -162,12 +160,3 @@ def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, v: Tensor,
         losses = _stacked_losses(run[g.output], target)
         grad[k0 : k0 + len(copies) // 2] = (losses[0::2] - losses[1::2]) / (2 * h)
     return grad.reshape(v.shape)
-
-
-def _downstream(g: Graph, j: int) -> list[int]:
-    """The nodes with a path from node j, in topological order."""
-    reached = {j}
-    for i in g.topo_order:
-        if reached.intersection(g.parent_ids[i]):
-            reached.add(i)
-    return [i for i in g.topo_order if i in reached and i != j]

@@ -147,10 +147,12 @@ class RelaxState:
     directly; the cols_bar and pool_idx aliases stay because the benchmark's
     per-node kernel cases (perfbench/kernels.py) read them.
 
-    The sweeps replace entries of x and never write into them; the input's
-    entry is never replaced. run_relaxation returns x with None at every
-    node outside its read set but the input, so a read of an activity the
-    run did not compute fails instead of returning a stale sweep term.
+    x starts as the sweep's own arrays; the sweeps replace its entries and
+    never write into one (nor do the updates), so the Sweep stays as it
+    was. The input's entry is never replaced. run_relaxation returns x
+    with None at every node outside its read set but the input, so a read
+    of an activity the run did not compute fails instead of returning a
+    stale sweep term.
 
     outers holds the batch-mean update outer products of the learned-psi
     nodes, which weight_update computes and psi_update reads again. A key
@@ -180,12 +182,12 @@ class RelaxState:
 
 def init_state(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
     """Freeze the sweep values and start the relaxing activities at xbar.
-    Nothing is recomputed: the VJP records come from the sweep, and f' from
-    its outputs."""
+    Nothing is recomputed or copied: x starts as the sweep's own arrays,
+    the VJP records come from the sweep, and f' from its outputs."""
     target = tensor.as_tensor(target)
     s = RelaxState(
         xbar=list(acts),
-        x=[a.copy() for a in acts],
+        x=list(acts),
         saved=list(acts.saved),
         eps_bar=target - acts[g.output],
     )
@@ -222,7 +224,7 @@ def _read_set(g: Graph, cfg: ARConfig, read) -> set[int]:
 
 def _children(g: Graph, nodes: set[int]) -> set[int]:
     """The nodes with a parent in `nodes`; never the input."""
-    return {j for j, ps in enumerate(g.parent_ids) if nodes.intersection(ps)}
+    return {c for i in nodes for c in g.children[i]}
 
 
 def _sweep(g: Graph, s: RelaxState, cfg: ARConfig, live: set[int], combine,

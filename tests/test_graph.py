@@ -134,6 +134,30 @@ class TestAdjacency:
         assert g.parent_ids[3] == (1, 2)
         assert [i for i, ps in enumerate(g.parent_ids) if 1 in ps] == [2, 3]
 
+    def test_skip_graph_children_and_below(self):
+        g = build(skip_dag_spec(), Rng(0))
+        assert g.children == [(1,), (2, 3), (3,), (4,), ()]
+        assert g.below([1]) == [2, 3, 4]
+        assert g.below([2, 3]) == [3, 4]
+        assert g.below([g.output]) == [] and g.below([]) == []
+
+    def test_below_is_the_transitive_closure(self):
+        # a diamond: 1 feeds 2 and 3, which meet at the add 4
+        g = build([
+            {"kind": "input", "shape": (3,)},
+            {"kind": "dense", "units": 3},
+            {"kind": "dense", "units": 3, "parents": [1]},
+            {"kind": "dense", "units": 3, "parents": [1]},
+            {"kind": "add", "parents": [3, 2]},
+            {"kind": "dense", "units": 2},
+        ], Rng(0))
+        for j in range(len(g.nodes)):
+            reached = {j}
+            for i in g.topo_order:
+                if reached.intersection(g.parent_ids[i]):
+                    reached.add(i)
+            assert g.below([j]) == [i for i in g.topo_order if i in reached - {j}]
+
     def test_out_of_range_index(self):
         for parent in (3, 99, -1):
             spec = [

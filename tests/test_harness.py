@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from arelax import cli, models, oracle, relaxation
+from arelax.data import Dataset
 from arelax.graph import build, forward
 from arelax.harness import (
     CSV_HEADER,
@@ -18,6 +19,7 @@ from arelax.harness import (
     angle_diagnostics,
     config_from_dict,
     config_from_file,
+    evaluate,
     final_test_accuracy,
     gradcheck,
     node_rel_errors,
@@ -149,6 +151,28 @@ class TestTraining:
         assert untrained <= 0.35
         assert min(accs.values()) >= 0.55
         assert min(accs.values()) >= untrained + 0.3
+
+    def test_evaluate_counts_a_nonfinite_batch_as_inf_loss_and_no_correct(self):
+        g = build([
+            {"kind": "input", "shape": (1, 2, 2)},
+            {"kind": "flatten"},
+            {"kind": "dense", "units": 3, "activation": "tanh", "weight": np.ones((3, 4)),
+             "psi": np.ones((4, 3))},
+            {"kind": "dense", "units": 2, "activation": "linear",
+             "weight": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], "psi": np.ones((3, 2))},
+        ])
+        rng = Rng(3)
+        images = rng.uniform((6, 1, 2, 2), -1.0, 1.0)
+        images[2:4] = 1e308     # the second batch's pre-activation overflows
+        labels = np.eye(2)[[0, 1, 0, 0, 1, 1]]
+        loss, acc = evaluate(g, Dataset(images, labels, "test", "synth"), 2)
+        assert loss == math.inf
+        # the other two batches count as they would alone
+        want = 0.0
+        for k in (0, 4):
+            want += accuracy(forward(g, images[k : k + 2])[g.output], labels[k : k + 2]) * 2
+        assert acc == want / 6
+        assert acc > 0.0
 
     def test_epochs_zero_evaluates_untrained_model_only(self, train_root, tmp_path):
         out = str(tmp_path / "e0.csv")
@@ -352,6 +376,13 @@ class TestDiagnostics:
 
 
 class TestConfig:
+    def test_every_shipped_config_loads(self):
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+        assert len(paths) >= 4
+        for path in paths:
+            cfg = config_from_file(str(path))
+            assert cfg.mode in ("train", "gradcheck"), path.name
+
     def test_dict_roundtrip(self):
         cfg = config_from_dict({
             "model": {"name": "mlp4", "class_count": 10},

@@ -250,10 +250,66 @@ class TestRelaxStep:
         cfg = ARConfig()
         s = init_state(g, acts, t, cfg)
         first = next(i for i, ps in enumerate(g.parent_ids) if g.input in ps)   # earliest guarded node
-        s.x[first][0, 0] = bad
+        # replaced, not written into: s.x[first] is the sweep's own array
+        x = s.x[first].copy()
+        x[0, 0] = bad
+        s.x[first] = x
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as exc:
             relax_step(g, s, cfg, iteration=7)
         assert (exc.value.node, exc.value.iteration) == (first, 7)
+
+    def test_overflow_in_an_unfrozen_fprime_is_a_divergence(self):
+        # a relaxing parent activity of 1e6, inside the guard, times the
+        # child's weight of 1e303 overflows the child's re-evaluated forward
+        g = build([
+            {"kind": "input", "shape": (1,)},
+            {"kind": "dense", "units": 1, "activation": "linear", "weight": [[1.0]], "psi": [[1.0]]},
+            {"kind": "dense", "units": 1, "activation": "tanh", "weight": [[1e303]], "psi": [[1.0]]},
+            {"kind": "dense", "units": 1, "activation": "linear", "weight": [[1.0]], "psi": [[1.0]]},
+        ])
+        acts = forward(g, [[1e-300]])
+        cfg = ARConfig(unfreeze_relax_deriv=True)
+        s = init_state(g, acts, [[0.0]], cfg)
+        s.x[1] = np.full((1, 1), 1e6)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
+            relax_step(g, s, cfg, iteration=5)
+        assert (exc.value.node, exc.value.iteration) == (2, 5)
+        assert "DenseNode forward" in str(exc.value)
+
+
+SWEEP_READERS = [
+    {},
+    {"unfreeze_relax_deriv": True},
+    {"backwards_mode": "learned_psi"},
+    {"backwards_mode": "learned_psi", "unfreeze_relax_deriv": True},
+    {"unfreeze_weight_deriv": True},
+    {"unfreeze_weight_activity": True},
+    {"backwards_mode": "learned_psi", "unfreeze_relax_deriv": True,
+     "unfreeze_weight_deriv": True, "unfreeze_weight_activity": True},
+]
+
+
+@pytest.mark.parametrize("variant", SWEEP_READERS)
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_relaxation_and_updates_leave_the_sweep_unchanged(graph, variant):
+    """init_state starts x as the sweep's own arrays, so neither engine nor
+    the updates may write into one: every array of the Sweep and of its
+    saved list is byte-identical afterwards."""
+    g, x, t = GRAPHS[graph]()
+    acts = forward(g, x)
+
+    def snapshot():
+        return ([a.tobytes() for a in acts],
+                [None if a is None else a.tobytes() for a in acts.saved])
+
+    before = snapshot()
+    cfg = ARConfig(n_iters=7, **variant)
+    for read in (None, range(len(g.nodes))):
+        s = run_relaxation(g, acts, t, cfg, read=read)
+        weight_update(g, s, cfg)
+        if cfg.backwards_mode == "learned_psi":
+            psi_update(g, s, cfg)
+        assert snapshot() == before
 
 
 class TestClosedForm:
@@ -879,3 +935,51 @@ class TestVariants:
         wd_d = weight_update(g, base, d_cfg)
         assert any(not np.allclose(wd_base[j], wd_b[j]) for j in wd_base)
         assert any(not np.allclose(wd_base[j], wd_d[j]) for j in wd_base)
+
+
+def train_learned_psi(model: str, scope: str, eta_psi_factor: float, steps: int = 30):
+    """Train a reduced model with learned psi for `steps` batches; return
+    the graph, the config and each node's initial psi and psi - mirror(W)."""
+    rng = Rng(11)
+    g = build(models.reduced_spec(models.ModelSpec(model)), rng)
+    cfg = ARConfig(n_iters=20, eta_theta=0.05, eta_psi=0.05 * eta_psi_factor,
+                   backwards_mode="learned_psi", backwards_scope=scope)
+    psi0 = {j: g.nodes[j].psi.copy() for j in g.parametric_ids()}
+    gap0 = {j: g.nodes[j].psi - g.nodes[j].mirror(g.nodes[j].weight) for j in g.parametric_ids()}
+    for _ in range(steps):
+        x, t = random_case(g, rng, 4)
+        s = run_relaxation(g, forward(g, x), t, cfg)
+        apply_updates(g, weight_update(g, s, cfg), psi_update(g, s, cfg))
+    return g, cfg, psi0, gap0
+
+
+def gap_drift(g, gap0, j) -> float:
+    return float(np.max(np.abs(g.nodes[j].psi - g.nodes[j].mirror(g.nodes[j].weight) - gap0[j])))
+
+
+class TestLearnedPsiGap:
+    """With eta_psi == eta_theta, psi_update adds to psi exactly the mirror
+    of what weight_update adds to W, so psi - mirror(W) keeps its initial
+    value up to the rounding of the two additions."""
+
+    @pytest.mark.parametrize("scope", ["all", "conv"])
+    @pytest.mark.parametrize("model", ["mlp4", "cnn"])
+    def test_gap_keeps_its_initial_value(self, model, scope):
+        steps = 30
+        g, cfg, psi0, gap0 = train_learned_psi(model, scope, 1.0, steps)
+        for j in g.parametric_ids():
+            node = g.nodes[j]
+            if relaxation._uses_psi(node, cfg):
+                # at most half an ulp of W and of psi per addition and step
+                scale = float(np.max(np.abs(node.weight)) + np.max(np.abs(node.psi)))
+                assert gap_drift(g, gap0, j) <= steps * np.finfo(float).eps * scale, j
+            else:
+                np.testing.assert_array_equal(node.psi, psi0[j])
+
+    @pytest.mark.parametrize("model, scope", [("mlp4", "all"), ("cnn", "all"), ("cnn", "conv")])
+    def test_gap_moves_when_eta_psi_differs(self, model, scope):
+        g, cfg, _, gap0 = train_learned_psi(model, scope, 2.0)
+        learned = [j for j in g.parametric_ids() if relaxation._uses_psi(g.nodes[j], cfg)]
+        assert learned
+        for j in learned:
+            assert gap_drift(g, gap0, j) > 1e-3, j
