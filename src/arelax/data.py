@@ -33,8 +33,16 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+SPLITS = ("train", "test")
+
+
 class DataError(ValueError):
     """Malformed or inconsistent dataset files."""
+
+
+def _check_split(split: str) -> None:
+    if split not in SPLITS:
+        raise DataError(f"unknown split {split!r}; expected one of {SPLITS}")
 
 
 @dataclass
@@ -125,9 +133,11 @@ def load_cifar(directory: str, variant: str, split: str = "train") -> Dataset:
     """Load CIFAR-10/100 binary batch files from a directory, as the
     variant's row of _CIFAR describes them. Each file is checked (present,
     whole records, labels in range) before the next is read; the records
-    of all files are converted to float64 once."""
+    of all files are converted to float64 once. The split must be "train"
+    or "test"."""
     if variant not in _CIFAR:
         raise DataError(f"unknown CIFAR variant {variant!r}")
+    _check_split(split)
     v = _CIFAR[variant]
     record = v.label_bytes + 3 * 32 * 32
     parts = []
@@ -218,9 +228,11 @@ def resolve_dir(name: str, root: str) -> str | None:
 
 
 def load_dataset(name: str, root: str, split: str) -> Dataset:
-    """Locate and load a dataset by name under the given root directory."""
+    """Locate and load a dataset's "train" or "test" split by name under
+    the given root directory."""
     if name not in DATASET_NAMES:
         raise DataError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+    _check_split(split)
     d = resolve_dir(name, root)
     if d is None:
         raise DataError(f"dataset {name!r} not found under {root!r}")

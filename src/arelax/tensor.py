@@ -21,7 +21,11 @@ Conventions baked in here:
     those cases are rebuilt from the node kinds' own kernels.
   * conv2d is cross-correlation (no kernel flip), stride 1, valid padding.
   * maxpool2d is a fixed 2x2 window with stride 2; ties go to the lowest
-    flat index inside the window.
+    flat index inside the window. It reads the four window corners as
+    strided views of the input and takes pairwise maxima, with no window
+    copy and no argmax; its idx map holds in-plane flat indices, and
+    maxpool2d_scatter writes through them with one flat fancy-index
+    assignment after adding each plane's offset.
   * Rng wraps a PCG64 stream; each call consumes the stream in call order
     and fills arrays row-major, so a given seed yields the same tensors on
     every run.
@@ -130,29 +134,53 @@ def maxpool2d(x) -> tuple[Tensor, Tensor]:
     """2x2/stride-2 max pooling of (B,C,H,W) input.
 
     Returns (pooled, idx) where idx holds, per output cell, the flat index
-    of the winning element inside its H*W input plane; ties break to the
-    lowest flat index. The idx map is what routes derivatives back.
+    of the winning element inside its H*W input plane (dtype intp); ties
+    break to the lowest flat index. The idx map is what routes derivatives
+    back.
+
+    The four window corners are strided views of x, so nothing is copied
+    into window order: two pairwise maxima give each window's upper and
+    lower row, and strict comparisons pick the row and then the column,
+    which is what sends a tie to the lower index. A tie of +0.0 against
+    -0.0 is a tie (idx keeps the rule), but pooled may hold either zero.
+    A NaN in a window makes its pooled value NaN, and its idx may then
+    name any cell of the window, not necessarily the NaN's; the node kinds
+    check every conv and add output, so a NaN reaches a pool only from an
+    unchecked input.
     """
     x = _batched(x, "maxpool2d")
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d: extents must be even, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    win = x.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2, 4)
-    k = win.argmax(axis=-1)
-    pooled = np.take_along_axis(win, k[..., None], axis=-1)[..., 0]
-    rows = 2 * np.arange(h2)[:, None] + k // 2
-    colns = 2 * np.arange(w2)[None, :] + k % 2
-    return pooled, rows * w + colns
+    x6 = x.reshape(b, c, h // 2, 2, w // 2, 2)     # splits axes only: a view
+    tl, tr = x6[:, :, :, 0, :, 0], x6[:, :, :, 0, :, 1]
+    bl, br = x6[:, :, :, 1, :, 0], x6[:, :, :, 1, :, 1]
+    upper, lower = np.maximum(tl, tr), np.maximum(bl, br)
+    down = lower > upper
+    right_up = tr > tl
+    right = right_up ^ (down & (right_up ^ (br > bl)))  # br > bl where down
+    idx = np.multiply(down, w, dtype=np.intp)
+    idx += right
+    idx += 2 * w * np.arange(h // 2)[:, None] + 2 * np.arange(w // 2)  # top-left corners
+    return np.maximum(upper, lower), idx
 
 
 def maxpool2d_scatter(values, idx, height: int, width: int) -> Tensor:
     """Inverse routing of maxpool2d: place each pooled value at its recorded
-    plane position, zeros elsewhere. Windows are disjoint so no collisions."""
+    plane position, zeros elsewhere. Windows are disjoint so no collisions.
+
+    idx (maxpool2d's, in-plane flat indices) is offset by each plane's start
+    in the flat (B*C*height*width) output, and the values are written with
+    one fancy-index assignment into zeros. idx must be maxpool2d's map for
+    a height x width plane: its range is not checked, and an index past the
+    plane would land in the next one.
+    """
     values = _batched(values, "maxpool2d_scatter")
     b, c = values.shape[:2]
-    out = np.zeros((b, c, height * width))
-    np.put_along_axis(out, idx.reshape(b, c, -1), values.reshape(b, c, -1), axis=-1)
+    plane = height * width
+    flat = idx + (plane * np.arange(b * c)).reshape(b, c, 1, 1)
+    out = np.zeros(b * c * plane)
+    out[flat.ravel()] = values.ravel()
     return out.reshape(b, c, height, width)
 
 

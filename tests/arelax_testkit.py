@@ -1,7 +1,7 @@
 """Helpers shared by the test modules: synthetic datasets written in the
 real on-disk formats, the real-dataset gate, a hypothesis strategy for
-random conv/pool/add DAGs, and a written-out relaxation step to check the
-library's against.
+random conv/pool/add DAGs, and written-out references to check the
+library against: a relaxation step, and max pooling and its scatter.
 
 The synthetic task is class-prototype images plus pixel noise, which a
 small network separates quickly; it exercises the loaders, the training
@@ -181,3 +181,28 @@ def reference_step(g, s, cfg):
         max_dx = max(max_dx, float(np.max(np.abs(dx))))
     s.last_max_dx = max_dx
     return s
+
+
+def reference_maxpool2d(x):
+    """maxpool2d written out: copy each 2x2 window into a length-4 axis in
+    row-major window order, take its argmax (the first maximum, so ties go
+    to the lowest flat index), gather the winners and turn the argmax into
+    an in-plane flat index. tensor.maxpool2d must match it bit for bit on
+    NaN-free input, up to the sign of a pooled zero from a +0/-0 tie."""
+    b, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = x.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2, 4)
+    k = win.argmax(axis=-1)
+    pooled = np.take_along_axis(win, k[..., None], axis=-1)[..., 0]
+    rows = 2 * np.arange(h2)[:, None] + k // 2
+    colns = 2 * np.arange(w2)[None, :] + k % 2
+    return pooled, rows * w + colns
+
+
+def reference_maxpool2d_scatter(values, idx, height, width):
+    """maxpool2d_scatter written out: put_along_axis of each plane's values
+    at its in-plane flat indices, zeros elsewhere."""
+    b, c = values.shape[:2]
+    out = np.zeros((b, c, height * width))
+    np.put_along_axis(out, idx.reshape(b, c, -1), values.reshape(b, c, -1), axis=-1)
+    return out.reshape(b, c, height, width)

@@ -150,6 +150,11 @@ class TestLoadCifar:
         with pytest.raises(DataError, match="out of range"):
             load_cifar(str(d), "cifar10", "train")
 
+    def test_unknown_split(self, tmp_path):
+        root = make_cifar10_dir(str(tmp_path))
+        with pytest.raises(DataError, match="unknown split 'val'"):
+            load_cifar(os.path.join(root, "cifar-10-batches-bin"), "cifar10", "val")
+
     def test_missing_batch_file(self, tmp_path):
         d = tmp_path / "c10"
         d.mkdir()
@@ -212,6 +217,11 @@ class TestLoadDataset:
     def test_unknown_name(self, synth_data_root):
         with pytest.raises(DataError, match="unknown dataset"):
             load_dataset("imagenet", synth_data_root, "train")
+
+    @pytest.mark.parametrize("name", ["mnist", "fashion_mnist", "cifar10", "cifar100"])
+    def test_unknown_split(self, synth_data_root, name):
+        with pytest.raises(DataError, match=r"^unknown split 'val'; expected one of \('train', 'test'\)$"):
+            load_dataset(name, synth_data_root, "val")
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -1,0 +1,67 @@
+"""Seeded defects: each mutant monkeypatches one node-kind method, and its
+test asserts which check flags it. The unpatched graph passes the same
+check on the same case, so a flagged mutant shows what the check can
+catch, not a case that fails anyway. A change to a check that stops it
+flagging a mutant fails here, by the mutant's name.
+"""
+
+import numpy as np
+import pytest
+
+from arelax.graph import MaxPoolNode, build, forward
+from arelax.harness import GradcheckOptions, _fd_entry, random_case
+from arelax.oracle import backprop
+from arelax.tensor import Rng
+
+# conv -> maxpool -> flatten -> dense, small enough that per-entry finite
+# differences take milliseconds
+CONV_POOL_SPEC = [
+    {"kind": "input", "shape": (2, 6, 6)},
+    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
+    {"kind": "maxpool"},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
+
+
+def oracle_vs_fd():
+    """harness.gradcheck's oracle-vs-finite-differences entry on the conv/pool
+    graph: the oracle's parameter and input gradients against central
+    differences of the forward sweep."""
+    rng = Rng(41)
+    g = build(CONV_POOL_SPEC, rng)
+    x, target = random_case(g, rng, 2)
+    grads = backprop(g, forward(g, x), target)
+    return _fd_entry("conv_pool", g, x, target, grads, GradcheckOptions())
+
+
+CHECKS = {"oracle_vs_fd": oracle_vs_fd}
+
+
+def pool_vjp_to_window_corner(self, g, saved):
+    """Routes every pooled cotangent to its window's top-left cell, whichever
+    cell won the forward."""
+    b, c, h2, w2 = g.shape
+    out = np.zeros((b, c, 2 * h2, 2 * w2))
+    out[:, :, ::2, ::2] = g
+    return [out]
+
+
+# name: (class, method, replacement, the check that flags it)
+MUTANTS = {
+    "maxpool_vjp_to_window_corner": (MaxPoolNode, "vjp", pool_vjp_to_window_corner, "oracle_vs_fd"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_unpatched_graph_passes(check):
+    entry = CHECKS[check]()
+    assert entry.ok, entry
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_flagged(monkeypatch, name):
+    cls, method, replacement, check = MUTANTS[name]
+    monkeypatch.setattr(cls, method, replacement)
+    entry = CHECKS[check]()
+    assert not entry.ok, entry

@@ -1,9 +1,13 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from arelax import tensor
-from arelax.graph import DenseNode, GraphError, build, forward
+from arelax import models, tensor
+from arelax.graph import DenseNode, GraphError, MaxPoolNode, build, forward
 from arelax.tensor import Rng, ShapeError
+
+from arelax_testkit import reference_maxpool2d, reference_maxpool2d_scatter
 
 
 def dense_product(x, w):
@@ -132,6 +136,105 @@ class TestMaxPool:
         gathered = np.take_along_axis(flat, idx.reshape(2, 3, -1), axis=-1)
         np.testing.assert_array_equal(gathered.reshape(pooled.shape), pooled)
         assert np.count_nonzero(scattered) <= pooled.size
+
+
+def _windows_in_a_row(windows):
+    """(1, 1, 2, 2n) plane holding the n windows, each given as its four
+    values in row-major window order, side by side."""
+    w = np.asarray(windows, dtype=np.float64)
+    return w.reshape(-1, 2, 2).transpose(1, 0, 2).reshape(1, 1, 2, -1)
+
+
+def _assert_pool_is_reference(x):
+    """maxpool2d's pooled values and idx (value and dtype), and the scatter
+    of a random cotangent through idx, equal the written-out reference's
+    bit for bit."""
+    pooled, idx = tensor.maxpool2d(x)
+    want, want_idx = reference_maxpool2d(x)
+    assert pooled.shape == want.shape and pooled.dtype == want.dtype
+    assert pooled.tobytes() == want.tobytes()
+    assert idx.dtype == want_idx.dtype
+    np.testing.assert_array_equal(idx, want_idx)
+    h, w = x.shape[2:]
+    g = np.random.default_rng(0).normal(size=pooled.shape)
+    got = tensor.maxpool2d_scatter(g, idx, h, w)
+    assert got.tobytes() == reference_maxpool2d_scatter(g, want_idx, h, w).tobytes()
+
+
+class TestMaxPoolMatchesReference:
+    """The strided-view pool and the flat-index scatter against the argmax /
+    take_along_axis / put_along_axis expressions they replace."""
+
+    def test_every_window_of_zeros_and_ones(self):
+        bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        for lo, hi in [(0.0, 1.0), (-1.0, 0.0), (-3.5, 2.25)]:
+            _assert_pool_is_reference(_windows_in_a_row(np.where(bits, hi, lo)))
+
+    @pytest.mark.parametrize("hi,lo", [(1.0, 0.0), (-1.0, -2.0), (np.inf, 0.0),
+                                       (0.0, -np.inf), (np.inf, -np.inf)])
+    def test_a_tie_between_every_pair_of_positions(self, hi, lo):
+        windows = []
+        for size in (2, 3, 4):
+            for tied in combinations(range(4), size):
+                windows.append([hi if k in tied else lo for k in range(4)])
+        _assert_pool_is_reference(_windows_in_a_row(windows))
+
+    def test_infinities(self):
+        rng = np.random.default_rng(5)
+        x = rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf], size=(2, 3, 6, 8))
+        x[0, 0, :2, :2] = -np.inf
+        x[0, 1, :2, :2] = np.inf
+        _assert_pool_is_reference(x)
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 6, 8, 6)).transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+        _assert_pool_is_reference(x)
+        _assert_pool_is_reference(x[:, ::2])
+
+    def test_cnn_pool_shape(self):
+        g = models.build_model(models.ModelSpec("cnn"), Rng(0))
+        (pool,) = [j for j, node in enumerate(g.nodes) if isinstance(node, MaxPoolNode)]
+        shape = g.shapes[g.parent_ids[pool][0]]
+        x = np.tanh(np.random.default_rng(7).normal(size=(2,) + shape))
+        _assert_pool_is_reference(x)
+
+    def test_a_signed_zero_tie_keeps_the_index_rule(self):
+        # +0 and -0 compare equal; which zero is pooled is not specified
+        windows = [[0.0, -0.0, -1.0, -1.0], [-0.0, 0.0, -1.0, -1.0],
+                   [-1.0, -1.0, 0.0, -0.0], [-0.0, -1.0, 0.0, -1.0]]
+        x = _windows_in_a_row(windows)
+        pooled, idx = tensor.maxpool2d(x)
+        want, want_idx = reference_maxpool2d(x)
+        np.testing.assert_array_equal(pooled, want)
+        np.testing.assert_array_equal(idx, want_idx)
+
+    def test_nan_pools_to_nan_with_an_index_inside_its_window(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1, 2, 4, 8))
+        for k in range(4):              # a NaN at each window position
+            x[0, 0, k // 2, 2 * k + k % 2] = np.nan
+        x[0, 1, 2:, 4:6] = np.nan       # a window of NaNs
+        pooled, idx = tensor.maxpool2d(x)
+        want, want_idx = reference_maxpool2d(x)
+        nan = np.isnan(want)
+        assert nan.sum() == 5
+        np.testing.assert_array_equal(np.isnan(pooled), nan)
+        np.testing.assert_array_equal(pooled[~nan], want[~nan])
+        np.testing.assert_array_equal(idx[~nan], want_idx[~nan])
+        # idx may differ from argmax's under a NaN, but names a cell of its window
+        top_left = 2 * 8 * np.arange(2)[:, None] + 2 * np.arange(4)
+        assert np.isin(idx - top_left, [0, 1, 8, 9]).all()
+
+    def test_scatter_of_non_contiguous_values(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 3, 6, 8))
+        _, idx = tensor.maxpool2d(x)
+        g = rng.normal(size=(2, 3, 4, 3)).transpose(0, 1, 3, 2)
+        assert not g.flags.c_contiguous
+        got = tensor.maxpool2d_scatter(g, idx, 6, 8)
+        assert got.tobytes() == reference_maxpool2d_scatter(g, idx, 6, 8).tobytes()
 
 
 TANH_NODE = DenseNode(np.zeros((1, 1)), "tanh", np.zeros((1, 1)))
