@@ -25,12 +25,16 @@ forward(acts, ps) reads the activations of the parents ps from the
 per-node list acts and returns (activation, saved), where saved is what
 forward already computed and the VJP reuses (see Sweep), and
 vjp(cotangent, saved) returns one cotangent per parent, in parent order.
-Dense and conv also have outer (the batch-summed parameter gradient),
-mirror (the psi <-> W layout switch) and gemm_input (what forward saves of
-an input, which the weight update can take of a relaxed activity without
-a forward); their vjp takes the pre-activation cotangent and an optional
-back matrix in W's layout (W by default, or the mirrored psi). A dense or conv forward checks its pre-activation, and an
-add its sum, for NaN or Inf once and raises NonFiniteError.
+Dense and conv also have linear(saved, out=None) (the pre-activation GEMM
+on what forward saved, which finite_diff runs alone per perturbed weight
+entry), outer (the batch-summed parameter gradient), mirror (the psi <-> W
+layout switch) and gemm_input (what forward saves of an input, which the
+weight update can take of a relaxed activity without a forward); their
+forward is _activate(linear(gemm_input(x))), and their vjp takes the
+pre-activation cotangent and an optional back matrix in W's layout (W by
+default, or the mirrored psi). A dense or conv forward checks its
+pre-activation, and an add its sum, for NaN or Inf once and raises
+NonFiniteError.
 
 A conv node saves its input's im2col columns, which are stored
 channel-major as one (C_in*kH*kW, B*H'*W') buffer (tensor.im2col), so its
@@ -82,7 +86,11 @@ class DenseNode(_Parametric):
 
     def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
         x = self.gemm_input(acts[ps[0]])
-        return self._activate(x @ self.weight.T), x
+        return self._activate(self.linear(x)), x
+
+    def linear(self, saved: Tensor, out: Tensor | None = None) -> Tensor:
+        """The pre-activation saved @ W^T, written into out if given."""
+        return np.matmul(saved, self.weight.T, out=out)
 
     @staticmethod
     def gemm_input(x: Tensor) -> Tensor:
@@ -112,15 +120,19 @@ class ConvNode(_Parametric):
     (C_in, C_out) @ (C_out, B*P) GEMM per kernel offset, added into the
     (C_in, B, H, W) input-gradient window that offset covers and transposed
     once at the end, so no patch-column gradient is built and no col2im
-    scatter runs.
+    scatter runs. out_hw is (H', W'), which P alone does not give.
     """
 
+    out_hw: tuple[int, int]
+
     def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
-        x = acts[ps[0]]
-        _, _, kh, kw = self.weight.shape
-        cols = self.gemm_input(x)
-        a = tensor.conv2d_cols(cols, self.weight, x.shape[2] - kh + 1, x.shape[3] - kw + 1)
-        return self._activate(a), cols
+        cols = self.gemm_input(acts[ps[0]])
+        return self._activate(self.linear(cols)), cols
+
+    def linear(self, saved: Tensor, out: Tensor | None = None) -> Tensor:
+        """The (B, C_out, H', W') pre-activation from saved's im2col columns,
+        written into out if given."""
+        return tensor.conv2d_cols(saved, self.weight, *self.out_hw, out)
 
     def gemm_input(self, x: Tensor) -> Tensor:
         """What forward saves of input x: its im2col columns."""
@@ -364,8 +376,8 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
             act = _activation(i, item)
             wk = _param(i, item, "weight", (co, c, kh, kw), c * kh * kw, rng)
             psi = _param(i, item, "psi", (co, c, kh, kw), c * kh * kw, rng)
-            nodes[i] = ConvNode(wk, act, psi)
-            shapes[i] = (co, h - kh + 1, w_ - kw + 1)
+            nodes[i] = ConvNode(wk, act, psi, (h - kh + 1, w_ - kw + 1))
+            shapes[i] = (co, *nodes[i].out_hw)
 
         elif kind == "maxpool":
             if h % 2 or w_ % 2:

@@ -60,6 +60,8 @@ class GradcheckOptions:
         for name in ("tolerance", "fd_tolerance", "fd_step"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"gradcheck {name} must be > 0, got {getattr(self, name)}")
+        if self.fd_step == np.inf:    # finite_diff rejects it, so fail when loaded
+            raise ValueError(f"gradcheck fd_step must be finite, got {self.fd_step}")
 
 
 @dataclass

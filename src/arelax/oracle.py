@@ -102,17 +102,19 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     runs, so it is independent of backprop by construction.
 
     One sweep of the unperturbed batch gives every activation. Each entry of
-    node j's weight is set to v+h and v-h in turn, node j's own forward runs
-    at each, and the entry is restored (also when the forward raises); an
-    input coordinate's copies are the perturbed inputs themselves. The
-    copies of node j's activation are stacked on the batch axis, and only
-    the nodes below j (Graph.below) run on the stack, once per chunk; any
-    other parent they read is the unperturbed activation, tiled. Each
-    copy's loss is loss_mse over its own rows. A chunk holds at most
-    FD_CHUNK_BYTES of stacked activations, and at least one +h/-h pair.
+    node j's weight is set to v+h and v-h in turn, node j's GEMM alone
+    (its linear, on the input the sweep saved) writes each pre-activation
+    into its slot of a preallocated stack, and the entry is restored (also
+    when the GEMM raises); an input coordinate's slots hold the perturbed
+    inputs themselves. The copies are stacked on the batch axis: node j's
+    activation and NaN/Inf check run once on the stack, and only the nodes
+    below j (Graph.below) run on it, once per chunk; any other parent they
+    read is the unperturbed activation, tiled. Each copy's loss is loss_mse
+    over its own rows. A chunk holds at most FD_CHUNK_BYTES of stacked
+    activations, and at least one +h/-h pair.
     """
-    if h <= 0:
-        raise ValueError(f"finite_diff: step must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"finite_diff: step must be positive and finite, got {h}")
     x = tensor.as_tensor(x)
     target = tensor.as_tensor(target)
     acts = forward(g, x)
@@ -121,42 +123,46 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     # as in graph.forward, an overflow raises NonFiniteError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for j in g.parametric_ids():
-            node, ps = g.nodes[j], g.parent_ids[j]
+            node, saved = g.nodes[j], acts.saved[j]
             grads.param[j] = _central_diff(g, acts, target, j, node.weight, h,
-                                           lambda: node.forward(acts, ps)[0])
+                                           lambda out: node.linear(saved, out=out), node._activate)
         xp = x.copy()
-        grads.node[g.input] = _central_diff(g, acts, target, g.input, xp, h, xp.copy)
+        grads.node[g.input] = _central_diff(g, acts, target, g.input, xp, h,
+                                            lambda out: np.copyto(out, xp), lambda a: a)
     return grads
 
 
 def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, v: Tensor,
-                  h: float, at) -> Tensor:
+                  h: float, fill, activate) -> Tensor:
     """dL/dv by central differences, where v is node j's weight, or the
-    input itself when j is the input node, and at() returns node j's
-    activation at v's current value."""
+    input itself when j is the input node; fill(out) writes into out what
+    activate turns into node j's activation at v's current value, and
+    activate maps a whole stack of those at once."""
     below = g.below([j])
     tiled = {p for i in below for p in g.parent_ids[i]} - set(below) - {j}
     batch = acts[j].shape[0]
     copy_bytes = 8 * batch * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
-    pairs = max(1, FD_CHUNK_BYTES // (2 * copy_bytes))
+    pairs = max(1, min(FD_CHUNK_BYTES // (2 * copy_bytes), v.size))
+    stack = np.empty((2 * pairs, batch, *g.shapes[j]))
+    slots, flat = list(stack), v.flat
     grad = np.empty(v.size)
     for k0 in range(0, v.size, pairs):
-        copies = []
-        for k in range(k0, min(k0 + pairs, v.size)):
-            orig = v.flat[k]
+        n = min(pairs, v.size - k0)
+        for i, k in enumerate(range(k0, k0 + n)):
+            orig = flat[k]
             try:
-                v.flat[k] = orig + h
-                copies.append(at())
-                v.flat[k] = orig - h
-                copies.append(at())
+                flat[k] = orig + h
+                fill(slots[2 * i])
+                flat[k] = orig - h
+                fill(slots[2 * i + 1])
             finally:
-                v.flat[k] = orig
+                flat[k] = orig
         run = list(acts)
         for p in tiled:
-            run[p] = np.concatenate([acts[p]] * len(copies))
-        run[j] = np.concatenate(copies)
+            run[p] = np.concatenate([acts[p]] * (2 * n))
+        run[j] = activate(stack[: 2 * n]).reshape(2 * n * batch, *g.shapes[j])
         for i in below:
             run[i] = g.nodes[i].forward(run, g.parent_ids[i])[0]
         losses = _stacked_losses(run[g.output], target)
-        grad[k0 : k0 + len(copies) // 2] = (losses[0::2] - losses[1::2]) / (2 * h)
+        grad[k0 : k0 + n] = (losses[0::2] - losses[1::2]) / (2 * h)
     return grad.reshape(v.shape)

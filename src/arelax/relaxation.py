@@ -47,6 +47,7 @@ converged (baseline flags).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -294,16 +295,19 @@ def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0,
     return s
 
 
-def _cascade_coefficients(steps: int, depth: int, eta: float) -> list[tuple[float, float]]:
+@functools.lru_cache
+def _cascade_coefficients(steps: int, depth: int, eta: float) -> tuple[tuple[float, float], ...]:
     """(a_k, eta * c_k) for k = 0..min(depth, steps), the coefficients of
     M^S = sum_k a_k J^k and eta * sum_{t<S} M^t = sum_k eta * c_k J^k with
-    S = steps; higher powers of J vanish."""
+    S = steps; higher powers of J vanish. Pure in its arguments, so cached:
+    a gradcheck call or a training run asks for the same few triples again
+    and again."""
     coeffs = []
     for k in range(min(depth, steps) + 1):
         a = math.comb(steps, k) * (1.0 - eta) ** (steps - k) * eta ** k
         c = math.fsum(math.comb(t, k) * (1.0 - eta) ** (t - k) for t in range(k, steps)) * eta ** k
         coeffs.append((a, eta * c))
-    return coeffs
+    return tuple(coeffs)
 
 
 def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int, read: set[int]) -> None:

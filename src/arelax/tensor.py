@@ -121,13 +121,16 @@ def conv2d(x, kernels) -> Tensor:
     return conv2d_cols(im2col(x, kh, kw), k, h - kh + 1, w - kw + 1)
 
 
-def conv2d_cols(cols: Tensor, kernels: Tensor, hp: int, wp: int) -> Tensor:
+def conv2d_cols(cols: Tensor, kernels: Tensor, hp: int, wp: int, out: Tensor | None = None) -> Tensor:
     """conv2d's GEMM on im2col columns (B, C_in*kH*kW, hp*wp) of its input:
     one (C_out, K) @ (K, B*hp*wp) product, transposed once into the
-    C-contiguous (B, C_out, hp, wp) output."""
+    C-contiguous (B, C_out, hp, wp) output, or into out if given."""
     co = kernels.shape[0]
-    out = kernels.reshape(co, -1) @ col_matrix(cols)
-    return np.ascontiguousarray(out.reshape(co, cols.shape[0], hp, wp).transpose(1, 0, 2, 3))
+    prod = (kernels.reshape(co, -1) @ col_matrix(cols)).reshape(co, cols.shape[0], hp, wp)
+    if out is None:
+        out = np.empty((cols.shape[0], co, hp, wp))
+    np.copyto(out, prod.transpose(1, 0, 2, 3))
+    return out
 
 
 def maxpool2d(x) -> tuple[Tensor, Tensor]:

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: synthetic datasets written in the
 real on-disk formats, the real-dataset gate, a hypothesis strategy for
 random conv/pool/add DAGs, and written-out references to check the
-library against: a relaxation step, and max pooling and its scatter.
+library against: a relaxation step, max pooling and its scatter, and the
+stacked finite differences with one node forward per perturbation.
 
 The synthetic task is class-prototype images plus pixel noise, which a
 small network separates quickly; it exercises the loaders, the training
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import strategies as st
 
 from arelax import data as data_mod
-from arelax import relaxation
-from arelax.graph import PARAMETRIC
+from arelax import oracle, relaxation
+from arelax.graph import PARAMETRIC, forward
 
 
 def write_idx_images(path: str, images: np.ndarray, compress: bool = False) -> None:
@@ -206,3 +207,52 @@ def reference_maxpool2d_scatter(values, idx, height, width):
     out = np.zeros((b, c, height * width))
     np.put_along_axis(out, idx.reshape(b, c, -1), values.reshape(b, c, -1), axis=-1)
     return out.reshape(b, c, height, width)
+
+
+def reference_stacked_finite_diff(g, x, target, h=1e-5):
+    """oracle.finite_diff written with node j's whole forward per perturbed
+    weight entry: each +h/-h copy of node j's activation is built alone by
+    node.forward (which recomputes the GEMM input and activates and checks
+    the copy), and the chunk's copies are concatenated. Chunks, tiling and
+    the nodes run below j are finite_diff's, so it must match this bit for
+    bit."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    target = np.ascontiguousarray(target, dtype=np.float64)
+    acts = forward(g, x)
+
+    def central(j, v, at):
+        below = g.below([j])
+        tiled = {p for i in below for p in g.parent_ids[i]} - set(below) - {j}
+        batch = acts[j].shape[0]
+        copy_bytes = 8 * batch * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
+        pairs = max(1, oracle.FD_CHUNK_BYTES // (2 * copy_bytes))
+        grad = np.empty(v.size)
+        for k0 in range(0, v.size, pairs):
+            copies = []
+            for k in range(k0, min(k0 + pairs, v.size)):
+                orig = v.flat[k]
+                try:
+                    v.flat[k] = orig + h
+                    copies.append(at())
+                    v.flat[k] = orig - h
+                    copies.append(at())
+                finally:
+                    v.flat[k] = orig
+            run = list(acts)
+            for p in tiled:
+                run[p] = np.concatenate([acts[p]] * len(copies))
+            run[j] = np.concatenate(copies)
+            for i in below:
+                run[i] = g.nodes[i].forward(run, g.parent_ids[i])[0]
+            losses = oracle._stacked_losses(run[g.output], target)
+            grad[k0 : k0 + len(copies) // 2] = (losses[0::2] - losses[1::2]) / (2 * h)
+        return grad.reshape(v.shape)
+
+    grads = oracle.GradientSet()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in g.parametric_ids():
+            node, ps = g.nodes[j], g.parent_ids[j]
+            grads.param[j] = central(j, node.weight, lambda: node.forward(acts, ps)[0])
+        xp = x.copy()
+        grads.node[g.input] = central(g.input, xp, xp.copy)
+    return grads

@@ -460,6 +460,7 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("graphs", 0), ("batch", 0), ("iters", 0), ("tolerance", 0.0),
         ("fd_tolerance", -1e-4), ("fd_step", 0.0), ("fd_step", float("nan")),
+        ("fd_step", float("inf")),
     ])
     def test_bad_gradcheck_option_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):

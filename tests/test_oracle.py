@@ -1,14 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from arelax import models, oracle
+from arelax import harness, models, oracle
 from arelax.graph import PARAMETRIC, AddNode, FlattenNode, MaxPoolNode, build, forward
 from arelax.harness import random_case, random_chain_spec, rel_error, skip_dag_spec
 from arelax.oracle import GradientSet, backprop, finite_diff, loss_mse
 from arelax.tensor import NonFiniteError, Rng, ShapeError
 
-from arelax_testkit import conv_dags
+from arelax_testkit import conv_dags, reference_stacked_finite_diff
 
 
 def scalar_chain():
@@ -200,6 +202,12 @@ class TestFiniteDiff:
         with pytest.raises(ValueError):
             finite_diff(g, [[1.0]], [[0.0]], h=0.0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_step(self, h):
+        g = scalar_chain()
+        with pytest.raises(ValueError, match=f"^finite_diff: step must be positive and finite, got {h}$"):
+            finite_diff(g, [[1.0]], [[0.0]], h=h)
+
     def test_conv_pool_graph_against_fd(self):
         rng = Rng(18)
         g = build(CONV_POOL_SPEC, rng)
@@ -356,12 +364,14 @@ class TestStackedFiniteDiff:
         perturbations = 2 * (x.size + sum(g.nodes[j].weight.size for j in g.parametric_ids()))
         assert 1 <= len(sweeps) <= perturbations // 1000
 
-    @pytest.mark.parametrize("raiser,nth", [(2, 3), (3, 2)], ids=["perturbed_node", "downstream_node"])
-    def test_raising_forward_restores_every_weight(self, raiser, nth, monkeypatch):
-        """Dense node 2 raises on its third forward, the first with its own
-        weight perturbed (the unperturbed sweep and the stacked run below
-        node 1 come first); the add node 3 on its first call after the
-        sweep."""
+    @pytest.mark.parametrize("raiser,method,nth", [(2, "linear", 3), (3, "forward", 2)],
+                             ids=["perturbed_node", "downstream_node"])
+    def test_raising_forward_restores_every_weight(self, raiser, method, nth, monkeypatch):
+        """Dense node 2's GEMM, which evaluates its perturbed entries, raises
+        on its third call, the first with its own weight perturbed (the
+        forwards of the unperturbed sweep and of the stacked run below node
+        1 call it first); the add node 3's forward on its first call after
+        the sweep."""
         rng = Rng(37)
         g = build(skip_dag_spec(), rng)
         x, t = random_case(g, rng, 4)
@@ -370,17 +380,107 @@ class TestStackedFiniteDiff:
         node = g.nodes[raiser]
         calls = []
 
-        def flaky(acts, ps, bare=node.forward):
+        def flaky(*args, bare=getattr(node, method), **kwargs):
             calls.append(1)
             if len(calls) == nth:
                 raise NonFiniteError("injected")
-            return bare(acts, ps)
-        monkeypatch.setattr(node, "forward", flaky)
+            return bare(*args, **kwargs)
+        monkeypatch.setattr(node, method, flaky)
         with pytest.raises(NonFiniteError, match="injected"):
             finite_diff(g, x, t)
         for j, b in before.items():
             assert g.nodes[j].weight.tobytes() == b, j
         assert x.tobytes() == x_before
+
+
+def assert_same_gradients(got: GradientSet, want: GradientSet) -> None:
+    assert got.param.keys() == want.param.keys() and got.node.keys() == want.node.keys()
+    for j in want.param:
+        np.testing.assert_array_equal(got.param[j], want.param[j], strict=True)
+    for j in want.node:
+        np.testing.assert_array_equal(got.node[j], want.node[j], strict=True)
+
+
+class TestPerEntryGemm:
+    """finite_diff evaluates a perturbed weight entry with node j's GEMM
+    alone and activates each chunk's stack once; the reference runs node j's
+    whole forward per entry. The arithmetic is the same, so the results are
+    bit-identical."""
+
+    def test_matches_per_entry_forward_on_the_gradcheck_suite(self, monkeypatch):
+        calls = []
+
+        def keep(g, x, target, h=1e-5, bare=oracle.finite_diff):
+            fd = bare(g, x, target, h)
+            calls.append((g, x, target, h, fd))
+            return fd
+        monkeypatch.setattr(oracle, "finite_diff", keep)
+        cfg = harness.config_from_file(Path(__file__).resolve().parents[1] / "configs" / "gradcheck.json")
+        harness.gradcheck(cfg)
+        assert len(calls) == cfg.gradcheck.graphs + 1      # the random graphs, then reduced mlp4
+        for g, x, t, h, fd in calls:
+            assert_same_gradients(fd, reference_stacked_finite_diff(g, x, t, h))
+
+    @pytest.mark.parametrize("name,batch", [("chain", 1), ("conv_pool", 2), ("all_kinds", 2), ("all_kinds", 3)])
+    def test_matches_per_entry_forward(self, name, batch):
+        rng = Rng(39)
+        spec = {"chain": random_chain_spec(rng, max_width=16),
+                "conv_pool": CONV_POOL_SPEC, "all_kinds": ALL_KINDS_SPEC}[name]
+        g = build(spec, rng)
+        x, t = random_case(g, rng, batch)
+        assert_same_gradients(finite_diff(g, x, t), reference_stacked_finite_diff(g, x, t))
+
+    @pytest.mark.parametrize("chunk_bytes", [oracle.FD_CHUNK_BYTES, 1], ids=["default_chunk", "one_pair_chunk"])
+    def test_gemm_per_entry_activation_per_chunk(self, chunk_bytes, monkeypatch):
+        """Split the calls at each chunk's loss: a chunk of node j's entries
+        calls j's linear (with out=) twice per entry, j's activation once and
+        j's forward never, and runs each parametric node below j once."""
+        rng = Rng(38)
+        g = build(ALL_KINDS_SPEC, rng)
+        x, t = random_case(g, rng, 2)
+        monkeypatch.setattr(oracle, "FD_CHUNK_BYTES", chunk_bytes)
+        log = []
+        for j in g.parametric_ids():
+            for name in ("forward", "linear", "_activate"):
+                def spy(*args, _j=j, _name=name, _bare=getattr(g.nodes[j], name), **kwargs):
+                    log.append((_name + ("_out" if kwargs.get("out") is not None else ""), _j))
+                    return _bare(*args, **kwargs)
+                monkeypatch.setattr(g.nodes[j], name, spy)
+
+        def losses(out, target, bare=oracle._stacked_losses):
+            log.append(("losses", None))
+            return bare(out, target)
+        monkeypatch.setattr(oracle, "_stacked_losses", losses)
+        finite_diff(g, x, t)
+
+        params = g.parametric_ids()
+        sweep = [(name, j) for j in params for name in ("forward", "linear", "_activate")]
+        assert log[: len(sweep)] == sweep
+        chunks, chunk = [], []
+        for event in log[len(sweep):]:
+            if event[0] == "losses":
+                chunks.append(chunk)
+                chunk = []
+            else:
+                chunk.append(event)
+        assert chunk == []
+        entries = dict.fromkeys(params, 0)
+        for chunk in chunks:
+            perturbed = {j for name, j in chunk if name == "linear_out"}
+            assert len(perturbed) <= 1
+            j = perturbed.pop() if perturbed else g.input
+            below = set(g.below([j]))
+            for i in params:
+                want = [("forward", i), ("linear", i), ("_activate", i)] if i in below else []
+                if i == j:
+                    n = chunk.count(("linear_out", j))
+                    assert n % 2 == 0 and n > 0
+                    entries[j] += n // 2
+                    want = [("linear_out", j)] * n + [("_activate", j)]
+                assert [e for e in chunk if e[1] == i] == want, (j, i)
+        assert entries == {j: g.nodes[j].weight.size for j in params}
+        if chunk_bytes == 1:
+            assert len(chunks) == sum(entries.values()) + x.size
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -403,6 +403,14 @@ class TestClosedForm:
             np.testing.assert_array_equal(run_relaxation(g, acts, t, cfg).x[g.input], x)
         assert ran and not ran & fed_by_input
 
+    @pytest.mark.parametrize("steps,depth,eta", [(499, 4, 0.1), (49, 5, 0.1), (3, 7, 0.5), (1, 1, 1.0), (100, 0, 0.3)])
+    def test_cached_cascade_coefficients_equal_a_fresh_computation(self, steps, depth, eta):
+        fresh = relaxation._cascade_coefficients.__wrapped__(steps, depth, eta)
+        cached = relaxation._cascade_coefficients(steps, depth, eta)
+        assert relaxation._cascade_coefficients(steps, depth, eta) is cached
+        assert isinstance(cached, tuple) and cached == fresh
+        assert len(cached) == min(depth, steps) + 1
+
 
 def linear_chain(n_relaxing: int, weights=None):
     """input -> n_relaxing linear 1-unit dense nodes; longest relaxing path
