@@ -1,6 +1,6 @@
 """Command line entry points.
 
-    arelax run --config experiment.json [--data-dir DIR] [--output FILE]
+    arelax run --config experiment.json [--data-dir DIR] [--output FILE] [--summary]
     arelax gradcheck --config experiment.json
 
 The config file is JSON; see README for the schema. The dataset root falls
@@ -10,15 +10,9 @@ back to the AR_DATA_DIR environment variable when --data-dir is absent.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import harness
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p.add_argument("--data-dir", default=None, help="dataset root (overrides config and AR_DATA_DIR)")
 
 
 def _print_summary(rows: list[dict]) -> None:
@@ -35,15 +29,13 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a training experiment and write metrics CSV")
-    _add_common(run_p)
+    gc_p = sub.add_parser("gradcheck", help="verify gradients on random graphs and the reduced model")
+    for p in (run_p, gc_p):
+        p.add_argument("--config", required=True, help="path to a JSON experiment config")
+    run_p.add_argument("--data-dir", default=None, help="dataset root (overrides config and AR_DATA_DIR)")
     run_p.add_argument("--output", default=None, help="metrics CSV path (overrides config)")
     run_p.add_argument("--summary", action="store_true",
                        help="print the per-epoch summary table to stdout")
-
-    gc_p = sub.add_parser("gradcheck", help="verify gradients on random graphs and the reduced model")
-    _add_common(gc_p)
-    gc_p.add_argument("--iters", type=int, default=None, help="relaxation iterations for the check")
-    gc_p.add_argument("--tol", type=float, default=None, help="AR-vs-oracle tolerance")
 
     args = parser.parse_args(argv)
     try:
@@ -55,10 +47,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     cfg = harness.config_from_file(args.config)
-    if args.data_dir:
-        cfg.data_dir = args.data_dir
-
     if args.command == "run":
+        if cfg.mode == "gradcheck":
+            raise ValueError(f"{args.config} has mode 'gradcheck'; check it with the gradcheck command")
+        if args.data_dir:
+            cfg.data_dir = args.data_dir
         if args.output:
             cfg.output = args.output
         path = harness.run_experiment(cfg)
@@ -71,9 +64,6 @@ def _dispatch(args) -> int:
         print(f"metrics written to {path}")
         return 0
 
-    overrides = {"iters": args.iters, "tolerance": args.tol}
-    cfg.gradcheck = dataclasses.replace(
-        cfg.gradcheck, **{k: v for k, v in overrides.items() if v is not None})
     report = harness.gradcheck(cfg)
     for line in report.lines():
         print(line)

@@ -194,14 +194,13 @@ _MNIST_FILES = {
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
 
-DATASET_NAMES = ("mnist", "fashion_mnist", "cifar10", "cifar100")
-
 _SUBDIRS = {
     "mnist": ("mnist", "MNIST", "."),
     "fashion_mnist": ("fashion_mnist", "fashion-mnist", "FashionMNIST", "."),
     "cifar10": ("cifar-10-batches-bin", "cifar10", "."),
     "cifar100": ("cifar-100-binary", "cifar100", "."),
 }
+DATASET_NAMES = tuple(_SUBDIRS)
 
 
 def _find_idx_file(root: str, stem: str) -> str | None:

@@ -10,6 +10,8 @@ A graph is built from a list of node descriptors (dicts). Supported kinds:
   {"kind": "add",     "parents": [i, j]}
 
 "parents" defaults to the previous node, so plain chains need no wiring.
+A descriptor takes only its kind's keys (KEYS), and its counts, extents
+and parent ids are Python or numpy integers.
 Dense/conv descriptors may carry an explicit "weight" array; otherwise
 weights are drawn uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from the
 supplied Rng. Every dense/conv node also gets backwards parameters psi of
@@ -29,10 +31,10 @@ Dense and conv also have linear(saved, out=None) (the pre-activation GEMM
 on what forward saved, which finite_diff runs alone per perturbed weight
 entry), outer (the batch-summed parameter gradient), mirror (the psi <-> W
 layout switch) and gemm_input (what forward saves of an input, which the
-weight update can take of a relaxed activity without a forward); their
-forward is _activate(linear(gemm_input(x))), and their vjp takes the
-pre-activation cotangent and an optional back matrix in W's layout (W by
-default, or the mirrored psi). A dense or conv forward checks its
+weight update can take of a relaxed activity without a forward); they
+share one forward, _activate(linear(gemm_input(x))), and their vjp takes
+the pre-activation cotangent and an optional back matrix in W's layout (W
+by default, or the mirrored psi). A dense or conv forward checks its
 pre-activation, and an add its sum, for NaN or Inf once and raises
 NonFiniteError.
 
@@ -67,6 +69,10 @@ class _Parametric:
     activation: str         # "tanh" | "linear"
     psi: Tensor             # backwards parameters; mirror(psi) is in W's layout
 
+    def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+        saved = self.gemm_input(acts[ps[0]])
+        return self._activate(self.linear(saved)), saved
+
     def _activate(self, a: Tensor) -> Tensor:
         # the one finiteness check of a dense or conv forward; it reads the
         # pre-activation, since tanh maps inf to a finite 1
@@ -83,10 +89,6 @@ class _Parametric:
 @dataclass
 class DenseNode(_Parametric):
     """weight (n_out, n_in); psi (n_in, n_out), where W^T transports."""
-
-    def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
-        x = self.gemm_input(acts[ps[0]])
-        return self._activate(self.linear(x)), x
 
     def linear(self, saved: Tensor, out: Tensor | None = None) -> Tensor:
         """The pre-activation saved @ W^T, written into out if given."""
@@ -124,10 +126,6 @@ class ConvNode(_Parametric):
     """
 
     out_hw: tuple[int, int]
-
-    def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
-        cols = self.gemm_input(acts[ps[0]])
-        return self._activate(self.linear(cols)), cols
 
     def linear(self, saved: Tensor, out: Tensor | None = None) -> Tensor:
         """The (B, C_out, H', W') pre-activation from saved's im2col columns,
@@ -203,6 +201,15 @@ class AddNode:
 
 PARAMETRIC = (DenseNode, ConvNode)
 ACTIVATIONS = ("tanh", "linear")
+# per kind, the descriptor keys besides "kind" it requires and those it may have
+KEYS = {
+    "input": ({"shape"}, {"parents"}),
+    "dense": ({"units"}, {"activation", "parents", "weight", "psi"}),
+    "conv": ({"out_channels"}, {"kernel", "activation", "parents", "weight", "psi"}),
+    "maxpool": (set(), {"parents"}),
+    "flatten": (set(), {"parents"}),
+    "add": (set(), {"parents"}),
+}
 
 
 class Sweep(list):
@@ -279,11 +286,22 @@ def _param(i: int, item: dict, key: str, shape: tuple[int, ...], fan_in: int, rn
     return rng.uniform(shape, -bound, bound)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _ints(i: int, name: str, value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+        raise GraphError(f"node {i}: {name} must be a list of integers, got {value!r}")
+    return tuple(int(v) for v in value)
+
+
 def _positive(i: int, name: str, value) -> int:
-    value = int(value)
+    if not _is_int(value):
+        raise GraphError(f"node {i}: {name} must be an integer, got {value!r}")
     if value < 1:
         raise GraphError(f"node {i}: {name} must be positive, got {value}")
-    return value
+    return int(value)
 
 
 def _activation(i: int, item: dict) -> str:
@@ -308,14 +326,18 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
     parent_ids: list[tuple[int, ...]] = []
     for i, item in enumerate(spec):
         kind = item.get("kind")
-        if kind == "input":
-            ps: tuple[int, ...] = ()
-        elif "parents" in item:
-            ps = tuple(int(p) for p in item["parents"])
-        else:
-            if i == 0:
-                raise GraphError(f"node 0 ({kind}) has no parents and is not an input")
-            ps = (i - 1,)
+        if not isinstance(kind, str) or kind not in KEYS:
+            raise GraphError(f"node {i}: unknown kind {kind!r}")
+        required, optional = KEYS[kind]
+        keys = set(item) - {"kind"}
+        for what, bad in (("missing", required - keys), ("unknown", keys - required - optional)):
+            if bad:
+                raise GraphError(f"node {i}: {what} {kind} keys: {sorted(bad)}")
+        if i == 0 and kind != "input" and "parents" not in item:
+            raise GraphError(f"node 0 ({kind}) has no parents and is not an input")
+        ps = _ints(i, "parents", item.get("parents", [] if kind == "input" else [i - 1]))
+        if kind == "input" and ps:
+            raise GraphError(f"node {i}: an input takes no parents, got {list(ps)}")
         for p in ps:
             if not 0 <= p < n:
                 raise GraphError(f"node {i}: parent index {p} out of range")
@@ -338,7 +360,7 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
         kind = item.get("kind")
         ps = parent_ids[i]
         if kind == "input":
-            shape = tuple(int(d) for d in item["shape"])
+            shape = _ints(i, "shape", item["shape"])
             if any(d < 0 for d in shape):
                 raise GraphError(f"node {i}: negative extent in input shape {shape}")
             nodes[i] = InputNode(shape)
@@ -368,8 +390,10 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
 
         elif kind == "conv":
             kernel = item.get("kernel", 5)
-            kh, kw = (kernel, kernel) if isinstance(kernel, int) else (kernel[0], kernel[1])
-            kh, kw = _positive(i, "kernel", kh), _positive(i, "kernel", kw)
+            kernel = (kernel, kernel) if _is_int(kernel) else kernel
+            if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
+                raise GraphError(f"node {i}: kernel must be an integer or a pair, got {item['kernel']!r}")
+            kh, kw = (_positive(i, "kernel", k) for k in kernel)
             if kh > h or kw > w_:
                 raise GraphError(f"node {i}: kernel {kh}x{kw} larger than input {h}x{w_}")
             co = _positive(i, "out_channels", item["out_channels"])
@@ -397,9 +421,6 @@ def build(spec: list[dict], rng: Rng | None = None) -> Graph:
                 raise GraphError(f"node {i}: add parents have differing shapes {sorted(pshapes)}")
             nodes[i] = AddNode(len(ps))
             shapes[i] = shapes[ps[0]]
-
-        else:
-            raise GraphError(f"node {i}: unknown kind {kind!r}")
 
     return Graph(
         nodes=nodes,

@@ -37,6 +37,7 @@ from .graph import Graph, build, forward
 from .relaxation import ARConfig, DivergenceError, RelaxState
 from .tensor import NonFiniteError, Rng, Tensor
 
+# seed, epoch, batch: int; split: str; the rest: float, written empty for None
 CSV_HEADER = [
     "seed", "epoch", "batch", "split", "loss", "accuracy",
     "max_residual", "grad_angle", "psi_alignment",
@@ -58,10 +59,9 @@ class GradcheckOptions:
             if getattr(self, name) < 1:
                 raise ValueError(f"gradcheck {name} must be >= 1, got {getattr(self, name)}")
         for name in ("tolerance", "fd_tolerance", "fd_step"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"gradcheck {name} must be > 0, got {getattr(self, name)}")
-        if self.fd_step == np.inf:    # finite_diff rejects it, so fail when loaded
-            raise ValueError(f"gradcheck fd_step must be finite, got {self.fd_step}")
+            # an infinite tolerance would turn its check off, and finite_diff rejects an infinite step
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"gradcheck {name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -163,8 +163,7 @@ def write_metrics(path: str, rows: Iterable[dict]) -> None:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(CSV_HEADER)
         for r in rows:
-            w.writerow([r["seed"], r["epoch"], r["batch"], r["split"],
-                        *(_fmt(r.get(k)) for k in CSV_HEADER[4:])])
+            w.writerow([*(r[k] for k in CSV_HEADER[:4]), *(_fmt(r.get(k)) for k in CSV_HEADER[4:])])
 
 
 def read_metrics(path: str) -> list[dict]:
@@ -172,9 +171,9 @@ def read_metrics(path: str) -> list[dict]:
     with open(path, newline="") as f:
         for r in csv.DictReader(f):
             row = dict(r)
-            for k in ("seed", "epoch", "batch"):
+            for k in CSV_HEADER[:3]:
                 row[k] = int(row[k])
-            for k in ("loss", "accuracy", "max_residual", "grad_angle", "psi_alignment"):
+            for k in CSV_HEADER[4:]:
                 row[k] = float(row[k]) if row[k] else None
             out.append(row)
     return out

@@ -1,8 +1,9 @@
 """Helpers shared by the test modules: synthetic datasets written in the
-real on-disk formats, the real-dataset gate, a hypothesis strategy for
-random conv/pool/add DAGs, and written-out references to check the
-library against: a relaxation step, max pooling and its scatter, and the
-stacked finite differences with one node forward per perturbation.
+real on-disk formats, the real-dataset gate, the small graphs that more
+than one module uses, a hypothesis strategy for random conv/pool/add DAGs,
+and written-out references to check the library against: a relaxation
+step, max pooling and its scatter, and the stacked finite differences
+with one node forward per perturbation.
 
 The synthetic task is class-prototype images plus pixel noise, which a
 small network separates quickly; it exercises the loaders, the training
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from arelax import data as data_mod
 from arelax import oracle, relaxation
-from arelax.graph import PARAMETRIC, forward
+from arelax.graph import PARAMETRIC, build, forward
 
 
 def write_idx_images(path: str, images: np.ndarray, compress: bool = False) -> None:
@@ -115,6 +116,43 @@ def require_real_dataset(name: str) -> str:
             "run against synthetic stand-ins"
         )
     return root
+
+
+def scalar_chain():
+    return build([
+        {"kind": "input", "shape": (1,)},
+        {"kind": "dense", "units": 1, "activation": "linear", "weight": [[2.0]], "psi": [[0.1]]},
+        {"kind": "dense", "units": 1, "activation": "linear", "weight": [[3.0]], "psi": [[0.1]]},
+    ])
+
+
+# conv -> maxpool -> flatten -> dense, small enough that per-entry finite
+# differences take milliseconds
+CONV_POOL_SPEC = [
+    {"kind": "input", "shape": (2, 6, 6)},
+    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
+    {"kind": "maxpool"},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
+
+# conv -> conv -> maxpool -> flatten -> dense: every spatial transport
+TWO_CONV_POOL_SPEC = [
+    {"kind": "input", "shape": (2, 10, 10)},
+    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
+    {"kind": "conv", "out_channels": 4, "kernel": 3, "activation": "tanh"},
+    {"kind": "maxpool"},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 4, "activation": "linear"},
+]
+
+# an add node with the input as one of its parents
+ADD_FROM_INPUT_SPEC = [
+    {"kind": "input", "shape": (6,)},
+    {"kind": "dense", "units": 6, "activation": "tanh"},
+    {"kind": "add", "parents": [0, 1]},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
 
 
 @st.composite

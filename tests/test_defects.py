@@ -13,15 +13,7 @@ from arelax.harness import GradcheckOptions, _fd_entry, random_case
 from arelax.oracle import backprop
 from arelax.tensor import Rng
 
-# conv -> maxpool -> flatten -> dense, small enough that per-entry finite
-# differences take milliseconds
-CONV_POOL_SPEC = [
-    {"kind": "input", "shape": (2, 6, 6)},
-    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
-    {"kind": "maxpool"},
-    {"kind": "flatten"},
-    {"kind": "dense", "units": 3, "activation": "linear"},
-]
+from arelax_testkit import CONV_POOL_SPEC
 
 
 def oracle_vs_fd():

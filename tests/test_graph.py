@@ -8,13 +8,7 @@ from arelax.graph import AddNode, GraphError, build, forward
 from arelax.harness import skip_dag_spec
 from arelax.tensor import NonFiniteError, Rng, ShapeError
 
-
-def scalar_chain():
-    return build([
-        {"kind": "input", "shape": (1,)},
-        {"kind": "dense", "units": 1, "activation": "linear", "weight": [[2.0]], "psi": [[0.1]]},
-        {"kind": "dense", "units": 1, "activation": "linear", "weight": [[3.0]], "psi": [[0.1]]},
-    ])
+from arelax_testkit import scalar_chain
 
 
 class TestBuild:

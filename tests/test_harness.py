@@ -460,7 +460,7 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("graphs", 0), ("batch", 0), ("iters", 0), ("tolerance", 0.0),
         ("fd_tolerance", -1e-4), ("fd_step", 0.0), ("fd_step", float("nan")),
-        ("fd_step", float("inf")),
+        ("fd_step", float("inf")), ("tolerance", float("inf")), ("fd_tolerance", float("inf")),
     ])
     def test_bad_gradcheck_option_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -626,8 +626,8 @@ class TestCli:
     def test_gradcheck_failure_exit_code(self, synth_data_root, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, synth_data_root,
                                    gradcheck={"graphs": 3, "batch": 2, "iters": 400,
-                                              "check_model": False})
-        assert cli.main(["gradcheck", "--config", cfg_path, "--tol", "1e-18"]) == 1
+                                              "check_model": False, "tolerance": 1e-18})
+        assert cli.main(["gradcheck", "--config", cfg_path]) == 1
         assert "FAILED" in capsys.readouterr().out
 
     def test_gradcheck_variant_fd_failure_exit_code(self, synth_data_root, tmp_path, capsys):
@@ -639,13 +639,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "oracle_vs_fd is still gated" in out and "gradcheck FAILED" in out
 
-    @pytest.mark.parametrize("flag,value,key", [("--iters", "0", "iters"), ("--tol", "-1", "tolerance")])
-    def test_gradcheck_override_validated(self, synth_data_root, tmp_path, capsys, flag, value, key):
-        cfg_path = self._write_cfg(tmp_path, synth_data_root,
-                                   gradcheck={"graphs": 3, "batch": 2, "iters": 400,
-                                              "check_model": False})
-        assert cli.main(["gradcheck", "--config", cfg_path, flag, value]) == 2
-        assert key in capsys.readouterr().err
+    def test_run_refuses_gradcheck_config(self, synth_data_root, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, synth_data_root, mode="gradcheck")
+        assert cli.main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gradcheck command" in err
+        assert not os.path.exists(str(tmp_path / "cli_metrics.csv"))
 
     @pytest.mark.parametrize("section,typo", SECTION_TYPOS)
     def test_config_typo_exit_code(self, synth_data_root, tmp_path, capsys, section, typo):

@@ -71,6 +71,31 @@ CASES = {
     "graph_add_with_one_parent": (
         graph(FLAT, {"kind": "add", "parents": [0]}),
         GraphError, "node 1: add needs at least two parents"),
+    "graph_unhashable_kind": (graph(FLAT, {"kind": ["dense"]}), GraphError, "node 1: unknown kind ['dense']"),
+    "graph_dense_without_units": (
+        graph(FLAT, {"kind": "dense"}), GraphError, "node 1: missing dense keys: ['units']"),
+    "graph_conv_without_out_channels": (
+        graph(SPATIAL, {"kind": "conv", "kernel": 3}), GraphError, "node 1: missing conv keys: ['out_channels']"),
+    "graph_fractional_units": (
+        graph(FLAT, {"kind": "dense", "units": 2.7}), GraphError, "node 1: units must be an integer, got 2.7"),
+    "graph_fractional_input_extent": (
+        graph({"kind": "input", "shape": (2.5,)}, {"kind": "dense", "units": 2}),
+        GraphError, "node 0: shape must be a list of integers, got (2.5,)"),
+    "graph_one_element_kernel": (
+        graph(SPATIAL, {"kind": "conv", "out_channels": 2, "kernel": [3]}),
+        GraphError, "node 1: kernel must be an integer or a pair, got [3]"),
+    "graph_float_kernel": (
+        graph(SPATIAL, {"kind": "conv", "out_channels": 2, "kernel": 3.0}),
+        GraphError, "node 1: kernel must be an integer or a pair, got 3.0"),
+    "graph_parents_not_a_list": (
+        graph(FLAT, {"kind": "dense", "units": 2, "parents": 0}),
+        GraphError, "node 1: parents must be a list of integers, got 0"),
+    "graph_misspelt_key": (
+        graph(FLAT, {"kind": "dense", "units": 2, "activaton": "linear"}),
+        GraphError, "node 1: unknown dense keys: ['activaton']"),
+    "graph_input_with_parents": (
+        graph({"kind": "input", "shape": (4,), "parents": [1]}, {"kind": "dense", "units": 2}),
+        GraphError, "node 0: an input takes no parents, got [1]"),
     "graph_implicit_weights_without_rng": (
         graph(FLAT, {"kind": "dense", "units": 2}, rng=False),
         GraphError, "an Rng is required to initialize parameters that are not given explicitly"),

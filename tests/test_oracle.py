@@ -10,34 +10,13 @@ from arelax.harness import random_case, random_chain_spec, rel_error, skip_dag_s
 from arelax.oracle import GradientSet, backprop, finite_diff, loss_mse
 from arelax.tensor import NonFiniteError, Rng, ShapeError
 
-from arelax_testkit import conv_dags, reference_stacked_finite_diff
-
-
-def scalar_chain():
-    return build([
-        {"kind": "input", "shape": (1,)},
-        {"kind": "dense", "units": 1, "activation": "linear", "weight": [[2.0]], "psi": [[0.1]]},
-        {"kind": "dense", "units": 1, "activation": "linear", "weight": [[3.0]], "psi": [[0.1]]},
-    ])
-
-
-# conv -> maxpool -> flatten -> dense
-CONV_POOL_SPEC = [
-    {"kind": "input", "shape": (2, 6, 6)},
-    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
-    {"kind": "maxpool"},
-    {"kind": "flatten"},
-    {"kind": "dense", "units": 3, "activation": "linear"},
-]
-
-
-# an add node with the input as one of its parents
-ADD_FROM_INPUT_SPEC = [
-    {"kind": "input", "shape": (6,)},
-    {"kind": "dense", "units": 6, "activation": "tanh"},
-    {"kind": "add", "parents": [0, 1]},
-    {"kind": "dense", "units": 3, "activation": "linear"},
-]
+from arelax_testkit import (
+    ADD_FROM_INPUT_SPEC,
+    CONV_POOL_SPEC,
+    conv_dags,
+    reference_stacked_finite_diff,
+    scalar_chain,
+)
 
 
 def one_hot_targets(rng: Rng, batch: int, k: int):

@@ -23,15 +23,7 @@ from arelax.relaxation import (
 )
 from arelax.tensor import Rng
 
-from arelax_testkit import conv_dags, reference_step
-
-
-def scalar_chain():
-    return build([
-        {"kind": "input", "shape": (1,)},
-        {"kind": "dense", "units": 1, "activation": "linear", "weight": [[2.0]], "psi": [[0.1]]},
-        {"kind": "dense", "units": 1, "activation": "linear", "weight": [[3.0]], "psi": [[0.1]]},
-    ])
+from arelax_testkit import ADD_FROM_INPUT_SPEC, TWO_CONV_POOL_SPEC, conv_dags, reference_step, scalar_chain
 
 
 def random_mlp(seed: int, batch: int = 4):
@@ -48,24 +40,6 @@ def spec_case(spec, seed: int, batch: int):
     return g, x, t
 
 
-# conv -> conv -> maxpool -> flatten -> dense: every spatial transport
-CONV_POOL_SPEC = [
-    {"kind": "input", "shape": (2, 10, 10)},
-    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
-    {"kind": "conv", "out_channels": 4, "kernel": 3, "activation": "tanh"},
-    {"kind": "maxpool"},
-    {"kind": "flatten"},
-    {"kind": "dense", "units": 4, "activation": "linear"},
-]
-
-# an add node with the input as one of its parents
-ADD_FROM_INPUT_SPEC = [
-    {"kind": "input", "shape": (6,)},
-    {"kind": "dense", "units": 6, "activation": "tanh"},
-    {"kind": "add", "parents": [0, 1]},
-    {"kind": "dense", "units": 3, "activation": "linear"},
-]
-
 # two branches that meet only at an add node, whose VJP sends one array
 # to both
 DIAMOND_SPEC = [
@@ -80,7 +54,7 @@ DIAMOND_SPEC = [
 GRAPHS = {
     "chain_a": lambda: random_mlp(80),
     "chain_b": lambda: random_mlp(81),
-    "conv_pool": lambda: spec_case(CONV_POOL_SPEC, 32, 3),
+    "conv_pool": lambda: spec_case(TWO_CONV_POOL_SPEC, 32, 3),
     "skip_dag": lambda: spec_case(skip_dag_spec(width=8, class_count=4), 30, 4),
     "add_from_input": lambda: spec_case(ADD_FROM_INPUT_SPEC, 33, 4),
     "diamond": lambda: spec_case(DIAMOND_SPEC, 34, 3),
