@@ -29,12 +29,12 @@ forward already computed and the VJP reuses (see Sweep), and
 vjp(cotangent, saved) returns one cotangent per parent, in parent order.
 Dense and conv also have linear(saved, out=None) (the pre-activation GEMM
 on what forward saved, which finite_diff runs alone per perturbed weight
-entry), outer (the batch-summed parameter gradient), mirror (the psi <-> W
-layout switch) and gemm_input (what forward saves of an input, which the
-weight update can take of a relaxed activity without a forward); they
-share one forward, _activate(linear(gemm_input(x))), and their vjp takes
-the pre-activation cotangent and an optional back matrix in W's layout (W
-by default, or the mirrored psi). A dense or conv forward checks its
+column and sign), outer (the batch-summed parameter gradient), mirror (the
+psi <-> W layout switch) and gemm_input (what forward saves of an input,
+which the weight update can take of a relaxed activity without a forward);
+they share one forward, _activate(linear(gemm_input(x))), and their vjp
+takes the pre-activation cotangent and an optional back matrix in W's
+layout (W by default, or the mirrored psi). A dense or conv forward checks its
 pre-activation, and an add its sum, for NaN or Inf once and raises
 NonFiniteError.
 

@@ -92,7 +92,9 @@ def _accumulate(grads: GradientSet, i: int, contribution: Tensor) -> None:
 # perturbed copies of node j's activation plus every activation evaluated
 # or tiled below it. Small, so that a gradient check's peak memory stays
 # within about 1 MB of the per-perturbation loop's; larger chunks gain
-# little speed.
+# little speed. A weight's column products add 2 * weight.size copies of
+# one channel of its node's pre-activation while that node's chunks run:
+# 0.8 MB for reduced mlp4's first layer at batch 4.
 FD_CHUNK_BYTES = 1 << 19
 
 
@@ -101,17 +103,24 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     per input coordinate. Forward-only: no VJP, outer product or backprop
     runs, so it is independent of backprop by construction.
 
-    One sweep of the unperturbed batch gives every activation. Each entry of
-    node j's weight is set to v+h and v-h in turn, node j's GEMM alone
-    (its linear, on the input the sweep saved) writes each pre-activation
-    into its slot of a preallocated stack, and the entry is restored (also
-    when the GEMM raises); an input coordinate's slots hold the perturbed
-    inputs themselves. The copies are stacked on the batch axis: node j's
-    activation and NaN/Inf check run once on the stack, and only the nodes
-    below j (Graph.below) run on it, once per chunk; any other parent they
-    read is the unperturbed activation, tiled. Each copy's loss is loss_mse
-    over its own rows. A chunk holds at most FD_CHUNK_BYTES of stacked
-    activations, and at least one +h/-h pair.
+    One sweep of the unperturbed batch gives every activation. The +h and
+    -h copies of node j's pre-activation are stacked on the batch axis, a
+    chunk of perturbed entries at a time (_chunk_plan): node j's activation
+    and NaN/Inf check run once on the stack, and only the nodes below j
+    (Graph.below) run on it, once per chunk; any other parent they read is
+    the unperturbed activation, tiled. Each copy's loss is loss_mse over
+    its own rows.
+
+    A weight is perturbed a column at a time: all output rows o of one
+    input index k (for a conv kernel, one (c, u, v)) are set to v+h, node
+    j's linear runs once on the input the sweep saved, the same for v-h,
+    and the column is restored (also when linear raises). Row o of the
+    weight feeds only channel o, so channel o of that product is the
+    pre-activation with entry (o, k) perturbed alone, from the same GEMM
+    arithmetic. Each column's two products are computed once per node,
+    and the copy of entry (o, k) is node j's unperturbed pre-activation with
+    channel o taken from them. An input coordinate's copies are the input
+    with that coordinate at v+h and v-h.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"finite_diff: step must be positive and finite, got {h}")
@@ -123,40 +132,82 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     # as in graph.forward, an overflow raises NonFiniteError, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for j in g.parametric_ids():
-            node, saved = g.nodes[j], acts.saved[j]
-            grads.param[j] = _central_diff(g, acts, target, j, node.weight, h,
-                                           lambda out: node.linear(saved, out=out), node._activate)
-        xp = x.copy()
-        grads.node[g.input] = _central_diff(g, acts, target, g.input, xp, h,
-                                            lambda out: np.copyto(out, xp), lambda a: a)
+            node = g.nodes[j]
+            fill = _column_fill(node, acts.saved[j], acts[j].shape, h)
+            grads.param[j] = _central_diff(g, acts, target, j, node.weight.shape, h, fill, node._activate)
+        grads.node[g.input] = _central_diff(g, acts, target, g.input, x.shape, h,
+                                            _input_fill(x, h), lambda a: a)
     return grads
 
 
-def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, v: Tensor,
-                  h: float, fill, activate) -> Tensor:
-    """dL/dv by central differences, where v is node j's weight, or the
-    input itself when j is the input node; fill(out) writes into out what
-    activate turns into node j's activation at v's current value, and
-    activate maps a whole stack of those at once."""
+def _chunk_plan(g: Graph, batch: int, j: int, size: int) -> tuple[list[int], set[int], int]:
+    """How finite_diff stacks node j's size perturbed entries: the nodes
+    below j that each chunk runs, the other parents they read (the
+    unperturbed activation, tiled), and the +h/-h pairs per chunk, at most
+    FD_CHUNK_BYTES of stacked activations and at least one pair."""
     below = g.below([j])
     tiled = {p for i in below for p in g.parent_ids[i]} - set(below) - {j}
-    batch = acts[j].shape[0]
     copy_bytes = 8 * batch * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
-    pairs = max(1, min(FD_CHUNK_BYTES // (2 * copy_bytes), v.size))
+    return below, tiled, max(1, min(FD_CHUNK_BYTES // (2 * copy_bytes), size))
+
+
+def _column_fill(node, saved: Tensor, shape: tuple[int, ...], h: float):
+    """fill for the entries of node's weight, whose pre-activation on the
+    sweep's saved input has the given shape. Each column's +h and -h
+    products are computed once, before the first chunk, and every chunk
+    that holds an entry of that column reads its channel from them."""
+    w = node.weight
+    cols = w[0].size
+    prods = np.empty((cols, 2, *shape))
+    for k in range(cols):
+        # basic indexing, so a view of the weight itself whatever its layout
+        col = w[(slice(None), *np.unravel_index(k, w.shape[1:]))]
+        orig = col.copy()
+        try:
+            col[...] = orig + h
+            node.linear(saved, out=prods[k, 0])
+            col[...] = orig - h
+            node.linear(saved, out=prods[k, 1])
+        finally:
+            col[...] = orig
+    base = node.linear(saved)
+
+    def fill(out: Tensor, k0: int, n: int) -> None:
+        rows, ks = np.divmod(np.arange(k0, k0 + n), cols)
+        out[...] = base
+        out[np.arange(n), :, :, rows] = prods[ks, :, :, rows]
+    return fill
+
+
+def _input_fill(x: Tensor, h: float):
+    """fill for the coordinates of the input x: copies of x with one
+    coordinate at v+h or v-h."""
+    flat = x.reshape(-1)
+
+    def fill(out: Tensor, k0: int, n: int) -> None:
+        out[...] = x
+        copies, i = out.reshape(n, 2, -1), np.arange(n)
+        copies[i, 0, k0 + i] = flat[k0 : k0 + n] + h
+        copies[i, 1, k0 + i] = flat[k0 : k0 + n] - h
+    return fill
+
+
+def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, shape: tuple[int, ...],
+                  h: float, fill, activate) -> Tensor:
+    """dL/dv by central differences, for v of the given shape: node j's
+    weight, or the input when j is the input node. fill(out, k0, n) writes
+    into out, shaped (n, 2, batch, *node j's shape), what activate turns
+    into node j's activation with v's flat entries k0..k0+n-1 at v+h
+    (out[i, 0]) and v-h (out[i, 1]); activate maps a whole stack of those
+    at once."""
+    size = int(np.prod(shape))
+    batch = acts[j].shape[0]
+    below, tiled, pairs = _chunk_plan(g, batch, j, size)
     stack = np.empty((2 * pairs, batch, *g.shapes[j]))
-    slots, flat = list(stack), v.flat
-    grad = np.empty(v.size)
-    for k0 in range(0, v.size, pairs):
-        n = min(pairs, v.size - k0)
-        for i, k in enumerate(range(k0, k0 + n)):
-            orig = flat[k]
-            try:
-                flat[k] = orig + h
-                fill(slots[2 * i])
-                flat[k] = orig - h
-                fill(slots[2 * i + 1])
-            finally:
-                flat[k] = orig
+    grad = np.empty(size)
+    for k0 in range(0, size, pairs):
+        n = min(pairs, size - k0)
+        fill(stack[: 2 * n].reshape(n, 2, batch, *g.shapes[j]), k0, n)
         run = list(acts)
         for p in tiled:
             run[p] = np.concatenate([acts[p]] * (2 * n))
@@ -165,4 +216,4 @@ def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, v: Tensor,
             run[i] = g.nodes[i].forward(run, g.parent_ids[i])[0]
         losses = _stacked_losses(run[g.output], target)
         grad[k0 : k0 + n] = (losses[0::2] - losses[1::2]) / (2 * h)
-    return grad.reshape(v.shape)
+    return grad.reshape(shape)

@@ -252,18 +252,14 @@ def reference_stacked_finite_diff(g, x, target, h=1e-5):
     weight entry: each +h/-h copy of node j's activation is built alone by
     node.forward (which recomputes the GEMM input and activates and checks
     the copy), and the chunk's copies are concatenated. Chunks, tiling and
-    the nodes run below j are finite_diff's, so it must match this bit for
-    bit."""
+    the nodes run below j come from finite_diff's own chunk plan, so it
+    must match this bit for bit."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     target = np.ascontiguousarray(target, dtype=np.float64)
     acts = forward(g, x)
 
     def central(j, v, at):
-        below = g.below([j])
-        tiled = {p for i in below for p in g.parent_ids[i]} - set(below) - {j}
-        batch = acts[j].shape[0]
-        copy_bytes = 8 * batch * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
-        pairs = max(1, oracle.FD_CHUNK_BYTES // (2 * copy_bytes))
+        below, tiled, pairs = oracle._chunk_plan(g, acts[j].shape[0], j, v.size)
         grad = np.empty(v.size)
         for k0 in range(0, v.size, pairs):
             copies = []

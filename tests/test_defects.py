@@ -8,7 +8,7 @@ flagging a mutant fails here, by the mutant's name.
 import numpy as np
 import pytest
 
-from arelax.graph import MaxPoolNode, build, forward
+from arelax.graph import ConvNode, DenseNode, MaxPoolNode, _Parametric, build, forward
 from arelax.harness import GradcheckOptions, _fd_entry, random_case
 from arelax.oracle import backprop
 from arelax.tensor import Rng
@@ -39,9 +39,38 @@ def pool_vjp_to_window_corner(self, g, saved):
     return [out]
 
 
+def scaled_outer(bare):
+    """outer scaled by 1.01: every weight gradient 1% too large."""
+    def outer(self, gz, saved):
+        return 1.01 * bare(self, gz, saved)
+    return outer
+
+
+def scaled_vjp(bare):
+    """vjp scaled by 1.01: every cotangent it passes up 1% too large."""
+    def vjp(self, gz, saved, back=None):
+        return [1.01 * c for c in bare(self, gz, saved, back)]
+    return vjp
+
+
+def vjp_without_offset_00(bare):
+    """The conv vjp with kernel offset (0, 0) left out of the transport."""
+    def vjp(self, gz, saved, back=None):
+        k = (self.weight if back is None else back).copy()
+        k[:, :, 0, 0] = 0.0
+        return bare(self, gz, saved, k)
+    return vjp
+
+
 # name: (class, method, replacement, the check that flags it)
 MUTANTS = {
     "maxpool_vjp_to_window_corner": (MaxPoolNode, "vjp", pool_vjp_to_window_corner, "oracle_vs_fd"),
+    "dense_outer_x1.01": (DenseNode, "outer", scaled_outer(DenseNode.outer), "oracle_vs_fd"),
+    "dense_vjp_x1.01": (DenseNode, "vjp", scaled_vjp(DenseNode.vjp), "oracle_vs_fd"),
+    "conv_outer_x1.01": (ConvNode, "outer", scaled_outer(ConvNode.outer), "oracle_vs_fd"),
+    "conv_vjp_x1.01": (ConvNode, "vjp", scaled_vjp(ConvNode.vjp), "oracle_vs_fd"),
+    "conv_vjp_drops_offset_00": (ConvNode, "vjp", vjp_without_offset_00(ConvNode.vjp), "oracle_vs_fd"),
+    "fprime_identity": (_Parametric, "fprime", lambda self, out: None, "oracle_vs_fd"),
 }
 
 

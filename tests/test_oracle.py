@@ -381,10 +381,10 @@ def assert_same_gradients(got: GradientSet, want: GradientSet) -> None:
 
 
 class TestPerEntryGemm:
-    """finite_diff evaluates a perturbed weight entry with node j's GEMM
-    alone and activates each chunk's stack once; the reference runs node j's
-    whole forward per entry. The arithmetic is the same, so the results are
-    bit-identical."""
+    """finite_diff evaluates a whole weight column per GEMM of node j and
+    activates each chunk's stack once; the reference runs node j's whole
+    forward per perturbed entry. Row o of the weight feeds only channel o,
+    so the arithmetic is the same and the results are bit-identical."""
 
     def test_matches_per_entry_forward_on_the_gradcheck_suite(self, monkeypatch):
         calls = []
@@ -409,11 +409,32 @@ class TestPerEntryGemm:
         x, t = random_case(g, rng, batch)
         assert_same_gradients(finite_diff(g, x, t), reference_stacked_finite_diff(g, x, t))
 
+    def test_non_contiguous_weights(self):
+        """A Fortran-ordered dense and conv weight, which reshape would copy,
+        give the arrays their C-ordered copies give, and come back
+        byte-identical and still Fortran-ordered."""
+        rng = Rng(40)
+        g = build(CONV_POOL_SPEC, rng)
+        x, t = random_case(g, rng, 2)
+        params = g.parametric_ids()
+        assert {type(g.nodes[j]).__name__ for j in params} == {"ConvNode", "DenseNode"}
+        for j in params:
+            g.nodes[j].weight = np.asfortranarray(g.nodes[j].weight)
+            assert not g.nodes[j].weight.flags.c_contiguous
+        before = {j: g.nodes[j].weight.tobytes("A") for j in params}
+        fd = finite_diff(g, x, t)
+        for j in params:
+            assert g.nodes[j].weight.flags.f_contiguous and g.nodes[j].weight.tobytes("A") == before[j], j
+            g.nodes[j].weight = np.ascontiguousarray(g.nodes[j].weight)
+        assert_same_gradients(fd, finite_diff(g, x, t))
+
     @pytest.mark.parametrize("chunk_bytes", [oracle.FD_CHUNK_BYTES, 1], ids=["default_chunk", "one_pair_chunk"])
-    def test_gemm_per_entry_activation_per_chunk(self, chunk_bytes, monkeypatch):
-        """Split the calls at each chunk's loss: a chunk of node j's entries
-        calls j's linear (with out=) twice per entry, j's activation once and
-        j's forward never, and runs each parametric node below j once."""
+    def test_gemm_per_column_activation_per_chunk(self, chunk_bytes, monkeypatch):
+        """Split the calls at each chunk's loss: node j's first chunk calls
+        j's linear (with out=) exactly twice per weight column and once more
+        without, every chunk of j calls j's activation once and j's forward
+        never, each parametric node below j runs once per chunk, and the
+        chunks of j cover each of its entries once."""
         rng = Rng(38)
         g = build(ALL_KINDS_SPEC, rng)
         x, t = random_case(g, rng, 2)
@@ -427,7 +448,7 @@ class TestPerEntryGemm:
                 monkeypatch.setattr(g.nodes[j], name, spy)
 
         def losses(out, target, bare=oracle._stacked_losses):
-            log.append(("losses", None))
+            log.append(("losses", out.shape[0] // (2 * len(target))))
             return bare(out, target)
         monkeypatch.setattr(oracle, "_stacked_losses", losses)
         finite_diff(g, x, t)
@@ -438,28 +459,28 @@ class TestPerEntryGemm:
         chunks, chunk = [], []
         for event in log[len(sweep):]:
             if event[0] == "losses":
-                chunks.append(chunk)
+                chunks.append((chunk, event[1]))
                 chunk = []
             else:
                 chunk.append(event)
         assert chunk == []
-        entries = dict.fromkeys(params, 0)
-        for chunk in chunks:
-            perturbed = {j for name, j in chunk if name == "linear_out"}
-            assert len(perturbed) <= 1
-            j = perturbed.pop() if perturbed else g.input
-            below = set(g.below([j]))
-            for i in params:
-                want = [("forward", i), ("linear", i), ("_activate", i)] if i in below else []
-                if i == j:
-                    n = chunk.count(("linear_out", j))
-                    assert n % 2 == 0 and n > 0
-                    entries[j] += n // 2
-                    want = [("linear_out", j)] * n + [("_activate", j)]
-                assert [e for e in chunk if e[1] == i] == want, (j, i)
-        assert entries == {j: g.nodes[j].weight.size for j in params}
-        if chunk_bytes == 1:
-            assert len(chunks) == sum(entries.values()) + x.size
+        chunks = iter(chunks)
+        for j, size in [(j, g.nodes[j].weight.size) for j in params] + [(g.input, x.size)]:
+            below, covered = set(g.below([j])), 0
+            while covered < size:
+                chunk, n = next(chunks)
+                for i in params:
+                    want = [("forward", i), ("linear", i), ("_activate", i)] if i in below else []
+                    if i == j:
+                        first = covered == 0
+                        columns = g.nodes[j].weight[0].size
+                        want = [("linear_out", j)] * (2 * columns * first) + [("linear", j)] * first + [("_activate", j)]
+                    assert [e for e in chunk if e[1] == i] == want, (j, i, covered)
+                covered += n
+                if chunk_bytes == 1:
+                    assert n == 1
+            assert covered == size, j
+        assert next(chunks, None) is None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
