@@ -73,9 +73,7 @@ class Dataset:
 
 
 def one_hot(labels: np.ndarray, class_count: int) -> Tensor:
-    out = np.zeros((labels.shape[0], class_count))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    return np.eye(class_count)[labels]
 
 
 def _read_bytes(path: str) -> bytes:

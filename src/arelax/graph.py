@@ -259,14 +259,11 @@ def _toposort(n: int, parent_ids: list[tuple[int, ...]]) -> tuple[list[int], lis
         for p in ps:
             children[p].append(i)
     order = [i for i in range(n) if indeg[i] == 0]
-    queue = list(order)
-    while queue:
-        i = queue.pop(0)
+    for i in order:     # a FIFO queue: the loop reaches what it appends
         for c in children[i]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 order.append(c)
-                queue.append(c)
     if len(order) != n:
         raise GraphError("cycle detected: graph is not a DAG")
     return order, [tuple(c) for c in children]

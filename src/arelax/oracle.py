@@ -76,16 +76,9 @@ def backprop(g: Graph, acts: Sweep, target, *, read=None) -> GradientSet:
         if needed.intersection(ps):
             for p, contribution in zip(ps, node.vjp(gj, acts.saved[j])):
                 if p in needed:
-                    _accumulate(grads, p, contribution)
+                    grads.node[p] = grads.node[p] + contribution if p in grads.node else contribution
 
     return grads
-
-
-def _accumulate(grads: GradientSet, i: int, contribution: Tensor) -> None:
-    if i in grads.node:
-        grads.node[i] = grads.node[i] + contribution
-    else:
-        grads.node[i] = contribution
 
 
 # Bytes of stacked activations one finite-difference chunk may hold: the

@@ -136,6 +136,14 @@ def _uses_psi(node, cfg: ARConfig) -> bool:
     return cfg.backwards_mode == "learned_psi" and _in_scope(node, cfg.backwards_scope)
 
 
+def relaxes_to_gradient(cfg: ARConfig) -> bool:
+    """Whether cfg keeps the relaxation whose fixed point is the exact loss
+    gradient: transpose transport, exact f' and frozen relaxation
+    derivatives. The weight-side settings do not change the relaxation."""
+    return (cfg.backwards_mode == "transpose" and cfg.nonlinearity_mode == "exact"
+            and not cfg.unfreeze_relax_deriv)
+
+
 @dataclass
 class RelaxState:
     """Frozen sweep data plus the relaxing activities for one minibatch.
@@ -202,9 +210,9 @@ def init_state(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
 def _scale_by_fprime(g: Graph, s: RelaxState, cfg: ARConfig, j: int, v: Tensor, unfrozen: bool) -> Tensor:
     """v times the f' of dense/conv node j: frozen at the sweep, or with
     `unfrozen` re-evaluated at the parents' relaxing activities. v itself
-    for a linear node or where cfg drops the nonlinearity."""
+    where j has no f' (linear) or cfg drops the nonlinearity."""
     node = g.nodes[j]
-    if node.activation != "tanh" or _drops_nonlinearity(node, cfg):
+    if j not in s.fprime_bar or _drops_nonlinearity(node, cfg):
         return v
     if unfrozen:
         return node.fprime(node.forward(s.x, g.parent_ids[j])[0]) * v

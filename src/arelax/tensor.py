@@ -76,12 +76,9 @@ def im2col(x: Tensor, kh: int, kw: int) -> Tensor:
     conv's forward GEMM and its weight outer product are plain 2-D GEMMs.
     """
     b, c, h, w = x.shape
-    hp, wp = h - kh + 1, w - kw + 1
-    s0, s1, s2, s3 = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (c, kh, kw, b, hp, wp), (s1, s2, s3, s0, s2, s3), writeable=False
-    )
-    return np.ascontiguousarray(win).reshape(c * kh * kw, b, hp * wp).transpose(1, 0, 2)
+    # the (B, C, H', W', kh, kw) windows, read as (C, kh, kw, B, H', W')
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)
+    return np.ascontiguousarray(win).reshape(c * kh * kw, b, (h - kh + 1) * (w - kw + 1)).transpose(1, 0, 2)
 
 
 def col_matrix(cols: Tensor) -> Tensor:

@@ -1,9 +1,9 @@
 """Helpers shared by the test modules: synthetic datasets written in the
-real on-disk formats, the real-dataset gate, the small graphs that more
-than one module uses, a hypothesis strategy for random conv/pool/add DAGs,
-and written-out references to check the library against: a relaxation
-step, max pooling and its scatter, and the stacked finite differences
-with one node forward per perturbation.
+real on-disk formats, the real-dataset gate, the small graphs and scoped
+variant settings that more than one module uses, a hypothesis strategy for
+random conv/pool/add DAGs, and written-out references to check the
+library against: a relaxation step, max pooling and its scatter, and the
+stacked finite differences with one node forward per perturbation.
 
 The synthetic task is class-prototype images plus pixel noise, which a
 small network separates quickly; it exercises the loaders, the training
@@ -21,8 +21,9 @@ import pytest
 from hypothesis import strategies as st
 
 from arelax import data as data_mod
-from arelax import oracle, relaxation
-from arelax.graph import PARAMETRIC, build, forward
+from arelax import oracle
+from arelax.graph import PARAMETRIC, ConvNode, build, forward
+from arelax.relaxation import ARConfig
 
 
 def write_idx_images(path: str, images: np.ndarray, compress: bool = False) -> None:
@@ -155,6 +156,16 @@ ADD_FROM_INPUT_SPEC = [
 ]
 
 
+# variant settings that each leave one node kind out of their scope, so a
+# variant rule that ignores its scope changes a transport on a graph with a
+# relaxing conv and dense node
+SCOPED_CONFIGS = [
+    ARConfig(backwards_mode="learned_psi", backwards_scope="conv"),
+    ARConfig(nonlinearity_mode="dropped", nonlinearity_scope="dense"),
+    ARConfig(nonlinearity_mode="dropped", nonlinearity_scope="conv", unfreeze_relax_deriv=True),
+]
+
+
 @st.composite
 def conv_dags(draw):
     """A random small DAG of conv, maxpool, flatten, add and dense nodes,
@@ -195,7 +206,16 @@ def reference_step(g, s, cfg):
     that sends every node's VJP of its pre-step activity into an `incoming`
     dict, then a pass that updates every relaxing node from it. relax_step
     must agree with it bit for bit where no node has two relaxing children,
-    and up to summation order elsewhere."""
+    and up to summation order elsewhere.
+
+    The variant rules are stated here again from the config and the node
+    kind, not taken from the engine's helpers, so that a defect in those
+    shows: a tanh node scales by f' unless cfg drops f' in its scope (at the
+    sweep, or with unfreeze_relax_deriv at its forward from the relaxing
+    parents), and a node in the learned-psi scope transports through psi."""
+    def in_scope(node, scope):
+        return scope == "all" or scope == ("conv" if isinstance(node, ConvNode) else "dense")
+
     incoming = {}
     for j in g.topo_order:
         ps = g.parent_ids[j]
@@ -203,9 +223,13 @@ def reference_step(g, s, cfg):
             continue
         node = g.nodes[j]
         if isinstance(node, PARAMETRIC):
-            v = relaxation._scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_relax_deriv)
-            back = node.mirror(node.psi) if relaxation._uses_psi(node, cfg) else None
-            sent = node.vjp(v, s.saved[j], back)
+            v = s.x[j]
+            if node.activation == "tanh" and not (
+                    cfg.nonlinearity_mode == "dropped" and in_scope(node, cfg.nonlinearity_scope)):
+                out = node.forward(s.x, ps)[0] if cfg.unfreeze_relax_deriv else s.xbar[j]
+                v = (1.0 - out * out) * v
+            learned = cfg.backwards_mode == "learned_psi" and in_scope(node, cfg.backwards_scope)
+            sent = node.vjp(v, s.saved[j], node.mirror(node.psi) if learned else None)
         else:
             sent = node.vjp(s.x[j], s.saved[j])
         for p, contribution in zip(ps, sent):

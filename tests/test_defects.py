@@ -1,19 +1,26 @@
-"""Seeded defects: each mutant monkeypatches one node-kind method, and its
-test asserts which check flags it. The unpatched graph passes the same
-check on the same case, so a flagged mutant shows what the check can
-catch, not a case that fails anyway. A change to a check that stops it
-flagging a mutant fails here, by the mutant's name.
+"""Seeded defects: each mutant monkeypatches one node-kind method or
+relaxation helper, and its test asserts which check flags it. The
+unpatched code passes the same check on the same case, so a flagged mutant
+shows what the check can catch, not a case that fails anyway. A change to a
+check that stops it flagging a mutant fails here, by the mutant's name.
+
+The relaxation-side checks call the engine through the module, so that a
+patched helper is the one they run.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from arelax import relaxation
 from arelax.graph import ConvNode, DenseNode, MaxPoolNode, _Parametric, build, forward
-from arelax.harness import GradcheckOptions, _fd_entry, random_case
+from arelax.harness import GradcheckEntry, GradcheckOptions, _fd_entry, random_case, rel_error
 from arelax.oracle import backprop
+from arelax.relaxation import ARConfig
 from arelax.tensor import Rng
 
-from arelax_testkit import CONV_POOL_SPEC
+from arelax_testkit import CONV_POOL_SPEC, SCOPED_CONFIGS, TWO_CONV_POOL_SPEC, reference_step
 
 
 def oracle_vs_fd():
@@ -27,7 +34,73 @@ def oracle_vs_fd():
     return _fd_entry("conv_pool", g, x, target, grads, GradcheckOptions())
 
 
-CHECKS = {"oracle_vs_fd": oracle_vs_fd}
+def relaxation_case():
+    """conv -> conv -> maxpool -> flatten -> dense, whose second conv and
+    dense node both transport into relaxing parents."""
+    rng = Rng(42)
+    g = build(TWO_CONV_POOL_SPEC, rng)
+    x, target = random_case(g, rng, 2)
+    return g, forward(g, x), target
+
+
+def worst_entry(check: str, errs: dict, tolerance: float) -> GradcheckEntry:
+    """The entry for the worst of errs, keyed by (setting, node)."""
+    worst = max(errs, key=errs.get)
+    return GradcheckEntry("two_conv_pool", check, errs[worst], tolerance, worst[1])
+
+
+def steps_vs_reference():
+    """relax_step against the test kit's reference_step, which states the
+    variant rules again, over three steps from xbar under each scoped
+    setting."""
+    g, acts, target = relaxation_case()
+    errs = {}
+    for k, cfg in enumerate(SCOPED_CONFIGS):
+        s, ref = relaxation.init_state(g, acts, target, cfg), relaxation.init_state(g, acts, target, cfg)
+        for it in range(3):
+            relaxation.relax_step(g, s, cfg, iteration=it)
+            reference_step(g, ref, cfg)
+        errs.update({(k, i): rel_error(s.x[i], ref.x[i]) for i in range(len(g.nodes))})
+    return worst_entry("steps_vs_reference", errs, 1e-12)
+
+
+def closed_form_vs_steps():
+    """run_relaxation's closed form against relax_step taken T times, at
+    every node, under baseline and the scoped settings with a closed form."""
+    g, acts, target = relaxation_case()
+    errs = {}
+    for k, cfg in enumerate([ARConfig(), *SCOPED_CONFIGS]):
+        if cfg.unfreeze_relax_deriv:
+            continue
+        cfg = replace(cfg, n_iters=20)
+        got = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
+        want = relaxation.init_state(g, acts, target, cfg)
+        for it in range(cfg.n_iters):
+            relaxation.relax_step(g, want, cfg, iteration=it)
+        errs.update({(k, i): rel_error(got.x[i], want.x[i]) for i in range(len(g.nodes))})
+    return worst_entry("closed_form_vs_steps", errs, 1e-12)
+
+
+def updates_vs_fresh_state():
+    """Under learned psi, the weight and psi updates after a relax_step
+    that follows a weight_update, against those of the same activities in
+    a state that never computed an update."""
+    g, acts, target = relaxation_case()
+    cfg = ARConfig(backwards_mode="learned_psi")
+    s = relaxation.init_state(g, acts, target, cfg)
+    relaxation.relax_step(g, s, cfg)
+    relaxation.weight_update(g, s, cfg)
+    relaxation.relax_step(g, s, cfg, iteration=1)
+    fresh = replace(s, outers={})
+    errs = {}
+    for k, update in enumerate([relaxation.weight_update, relaxation.psi_update]):
+        got, want = update(g, s, cfg), update(g, fresh, cfg)
+        errs.update({(k, j): rel_error(got[j], want[j]) for j in want})
+    return worst_entry("updates_vs_fresh_state", errs, 0.0)
+
+
+CHECKS = {f.__name__: f for f in (oracle_vs_fd, steps_vs_reference, closed_form_vs_steps,
+                                  updates_vs_fresh_state)}
 
 
 def pool_vjp_to_window_corner(self, g, saved):
@@ -62,7 +135,29 @@ def vjp_without_offset_00(bare):
     return vjp
 
 
-# name: (class, method, replacement, the check that flags it)
+def scale_keeping_dropped_fprime(bare):
+    """_scale_by_fprime applying f' where the config drops it."""
+    def scale(g, s, cfg, j, v, unfrozen):
+        return bare(g, s, replace(cfg, nonlinearity_mode="exact"), j, v, unfrozen)
+    return scale
+
+
+def cascade_one_step_more(bare):
+    """_cascade_coefficients for one step more than the closed form takes."""
+    return lambda steps, depth, eta: bare(steps + 1, depth, eta)
+
+
+def step_keeping_outers(bare):
+    """relax_step leaving s.outers as it found it instead of emptying it."""
+    def relax_step(g, s, cfg, **kw):
+        kept = dict(s.outers)
+        bare(g, s, cfg, **kw)
+        s.outers.update(kept)
+        return s
+    return relax_step
+
+
+# name: (class or module, attribute, replacement, the check that flags it)
 MUTANTS = {
     "maxpool_vjp_to_window_corner": (MaxPoolNode, "vjp", pool_vjp_to_window_corner, "oracle_vs_fd"),
     "dense_outer_x1.01": (DenseNode, "outer", scaled_outer(DenseNode.outer), "oracle_vs_fd"),
@@ -71,6 +166,18 @@ MUTANTS = {
     "conv_vjp_x1.01": (ConvNode, "vjp", scaled_vjp(ConvNode.vjp), "oracle_vs_fd"),
     "conv_vjp_drops_offset_00": (ConvNode, "vjp", vjp_without_offset_00(ConvNode.vjp), "oracle_vs_fd"),
     "fprime_identity": (_Parametric, "fprime", lambda self, out: None, "oracle_vs_fd"),
+    "drops_nonlinearity_ignores_scope": (relaxation, "_drops_nonlinearity",
+                                         lambda node, cfg: cfg.nonlinearity_mode == "dropped",
+                                         "steps_vs_reference"),
+    "uses_psi_ignores_scope": (relaxation, "_uses_psi",
+                               lambda node, cfg: cfg.backwards_mode == "learned_psi", "steps_vs_reference"),
+    "scale_by_fprime_keeps_dropped_fprime": (relaxation, "_scale_by_fprime",
+                                             scale_keeping_dropped_fprime(relaxation._scale_by_fprime),
+                                             "steps_vs_reference"),
+    "cascade_one_step_more": (relaxation, "_cascade_coefficients",
+                              cascade_one_step_more(relaxation._cascade_coefficients), "closed_form_vs_steps"),
+    "relax_step_keeps_outers": (relaxation, "relax_step", step_keeping_outers(relaxation.relax_step),
+                                "updates_vs_fresh_state"),
 }
 
 

@@ -14,7 +14,9 @@ from arelax.graph import build, forward
 from arelax.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    GradcheckEntry,
     GradcheckOptions,
+    GradcheckReport,
     accuracy,
     angle_diagnostics,
     config_from_dict,
@@ -377,11 +379,13 @@ class TestDiagnostics:
 
 class TestConfig:
     def test_every_shipped_config_loads(self):
+        # a config edit the loader rejects fails here, not at the start of a run
         paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
         assert len(paths) >= 4
         for path in paths:
             cfg = config_from_file(str(path))
             assert cfg.mode in ("train", "gradcheck"), path.name
+            assert cfg.output, path.name
 
     def test_dict_roundtrip(self):
         cfg = config_from_dict({
@@ -431,13 +435,6 @@ class TestConfig:
         cfg = config_from_dict({"model": {"name": "mlp4"}, "dataset": "mnist", "epochs": 1,
                                 "seeds": [0], "output": "m.csv", key: value})
         assert read(cfg)
-
-    def test_shipped_configs_load(self):
-        # a config edit the loader rejects fails here, not at the start of a run
-        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
-        assert paths
-        for path in paths:
-            assert config_from_file(str(path)).output, path.name
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -576,6 +573,28 @@ class TestGradcheck:
         report = gradcheck(cfg)
         assert report.informational and report.ok
 
+    @pytest.mark.parametrize("variant", [{"unfreeze_weight_deriv": True},
+                                         {"unfreeze_weight_activity": True},
+                                         {"unfreeze_weight_deriv": True, "unfreeze_weight_activity": True}])
+    def test_weight_side_flags_keep_relaxation_gated(self, variant):
+        # they change the update, not the relaxation, whose fixed point
+        # stays the oracle gradient
+        cfg = self._cfg(tolerance=1e-18, check_model=False)
+        cfg.ar = ARConfig(**variant)
+        report = gradcheck(cfg)
+        assert not report.informational and report.ok is False
+        fails = [line for line in report.lines() if line.startswith("FAIL")]
+        assert fails and all("ar_vs_oracle" in line for line in fails)
+
+    def test_worst_line_ranks_gated_entries_only(self):
+        report = GradcheckReport([
+            GradcheckEntry("chain_0", "ar_vs_oracle", 2.5, 1e-3, 1),
+            GradcheckEntry("chain_0", "oracle_vs_fd", 2e-9, 1e-9, 2),
+            GradcheckEntry("chain_1", "oracle_vs_fd", 5e-9, 1e-9, 0),
+        ], informational=True)
+        assert report.lines()[-1] == "worst: chain_1 (oracle_vs_fd, node 0) err=5.000e-09"
+        assert not report.ok
+
     def test_variant_flags_keep_finite_differences_gated(self):
         cfg = self._cfg(fd_tolerance=1e-18, check_model=False)
         cfg.ar = ARConfig(backwards_mode="learned_psi")
@@ -606,9 +625,22 @@ class TestCli:
     def test_run_command(self, synth_data_root, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, synth_data_root)
         assert cli.main(["run", "--config", cfg_path]) == 0
-        out = capsys.readouterr().out
-        assert "final test accuracy" in out
+        out = capsys.readouterr().out.splitlines()
+        # the per-epoch table: a header, then the untrained test row and one
+        # train and one test row for the one epoch
+        header = out.index(f"{'seed':>4} {'epoch':>5} {'split':>5} {'loss':>12} {'accuracy':>8}")
+        assert [line.split()[:3] for line in out[header + 1 : header + 4]] == [
+            ["0", "0", "test"], ["0", "1", "train"], ["0", "1", "test"]]
+        assert any("final test accuracy" in line for line in out)
         assert os.path.exists(str(tmp_path / "cli_metrics.csv"))
+
+    def test_run_has_no_summary_option(self, synth_data_root, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, synth_data_root)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", cfg_path, "--summary"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --summary" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "cli_metrics.csv"))
 
     def test_run_output_override(self, synth_data_root, tmp_path):
         cfg_path = self._write_cfg(tmp_path, synth_data_root)

@@ -23,7 +23,14 @@ from arelax.relaxation import (
 )
 from arelax.tensor import Rng
 
-from arelax_testkit import ADD_FROM_INPUT_SPEC, TWO_CONV_POOL_SPEC, conv_dags, reference_step, scalar_chain
+from arelax_testkit import (
+    ADD_FROM_INPUT_SPEC,
+    SCOPED_CONFIGS,
+    TWO_CONV_POOL_SPEC,
+    conv_dags,
+    reference_step,
+    scalar_chain,
+)
 
 
 def random_mlp(seed: int, batch: int = 4):
@@ -102,6 +109,7 @@ STEP_CONFIGS = [
     ARConfig(),
     ARConfig(backwards_mode="learned_psi"),
     ARConfig(unfreeze_relax_deriv=True),
+    *SCOPED_CONFIGS,
 ]
 
 
