@@ -385,7 +385,13 @@ class TestConfig:
         for path in paths:
             cfg = config_from_file(str(path))
             assert cfg.mode in ("train", "gradcheck"), path.name
-            assert cfg.output, path.name
+
+    def test_shipped_configs_load(self):
+        # every shipped config names where its metrics or report go
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            assert config_from_file(str(path)).output, path.name
 
     def test_dict_roundtrip(self):
         cfg = config_from_dict({
