@@ -86,8 +86,8 @@ def _read_bytes(path: str) -> bytes:
 
 def _read_idx(path: str, magic: int, what: str, ndim: int) -> tuple[list[int], np.ndarray]:
     """The `ndim` extents and the byte payload of the IDX `what` ("image"
-    or "label") file at path, after its header length, magic and payload
-    length are checked."""
+    or "label") file at path, after its header length, magic, payload
+    length and record count (at least one) are checked."""
     raw = _read_bytes(path)
     head = 4 * (1 + ndim)
     if len(raw) < head:
@@ -98,6 +98,8 @@ def _read_idx(path: str, magic: int, what: str, ndim: int) -> tuple[list[int], n
     expected = head + math.prod(dims)
     if len(raw) != expected:
         raise DataError(f"{path}: truncated payload, expected {expected} bytes, got {len(raw)}")
+    if dims[0] == 0:
+        raise DataError(f"{path}: no records")
     return dims, np.frombuffer(raw, dtype=np.uint8, offset=head)
 
 
@@ -108,7 +110,7 @@ def load_idx(images_path: str, labels_path: str, name: str = "mnist", split: str
     (nl,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", 1)
     if nl != n:
         raise DataError(f"image/label count mismatch: {n} images vs {nl} labels")
-    if labels.size and labels.max() > 9:
+    if labels.max() > 9:
         raise DataError(f"{labels_path}: label byte {labels.max()} out of range for 10 classes")
     images = pixels.astype(np.float64).reshape(n, 1, rows, cols) / 255.0
     return Dataset(images, one_hot(labels.astype(np.int64), 10), split, name)
@@ -130,9 +132,9 @@ _CIFAR = {
 def load_cifar(directory: str, variant: str, split: str = "train") -> Dataset:
     """Load CIFAR-10/100 binary batch files from a directory, as the
     variant's row of _CIFAR describes them. Each file is checked (present,
-    whole records, labels in range) before the next is read; the records
-    of all files are converted to float64 once. The split must be "train"
-    or "test"."""
+    one or more whole records, labels in range) before the next is read;
+    the records of all files are converted to float64 once. The split must
+    be "train" or "test"."""
     if variant not in _CIFAR:
         raise DataError(f"unknown CIFAR variant {variant!r}")
     _check_split(split)
@@ -144,11 +146,13 @@ def load_cifar(directory: str, variant: str, split: str = "train") -> Dataset:
         if not os.path.exists(path):
             raise DataError(f"missing CIFAR batch file: {path}")
         raw = _read_bytes(path)
+        if not raw:
+            raise DataError(f"{path}: no records")
         if len(raw) % record:
             raise DataError(f"{path}: size {len(raw)} is not a multiple of the {record}-byte record")
         buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record)
         labels = buf[:, v.label_bytes - 1]
-        if labels.size and labels.max() >= v.classes:
+        if labels.max() >= v.classes:
             raise DataError(f"{path}: label byte {labels.max()} out of range for {v.classes} classes")
         parts.append(buf)
     buf = np.concatenate(parts)

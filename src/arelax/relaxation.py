@@ -136,12 +136,12 @@ def _uses_psi(node, cfg: ARConfig) -> bool:
     return cfg.backwards_mode == "learned_psi" and _in_scope(node, cfg.backwards_scope)
 
 
-def relaxes_to_gradient(cfg: ARConfig) -> bool:
-    """Whether cfg keeps the relaxation whose fixed point is the exact loss
-    gradient: transpose transport, exact f' and frozen relaxation
-    derivatives. The weight-side settings do not change the relaxation."""
-    return (cfg.backwards_mode == "transpose" and cfg.nonlinearity_mode == "exact"
-            and not cfg.unfreeze_relax_deriv)
+def relaxes_to_gradient(g: Graph, cfg: ARConfig) -> bool:
+    """Whether g relaxes under cfg to the exact loss gradient: frozen
+    relaxation derivatives and no parametric node of g in the learned-psi
+    or dropped-f' scope. The weight-side settings do not count."""
+    return not cfg.unfreeze_relax_deriv and not any(
+        _uses_psi(g.nodes[j], cfg) or _drops_nonlinearity(g.nodes[j], cfg) for j in g.parametric_ids())
 
 
 @dataclass

@@ -462,8 +462,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("graphs", 0), ("batch", 0), ("iters", 0), ("tolerance", 0.0),
-        ("fd_tolerance", -1e-4), ("fd_step", 0.0), ("fd_step", float("nan")),
-        ("fd_step", float("inf")), ("tolerance", float("inf")), ("fd_tolerance", float("inf")),
+        ("fd_tolerance", -1e-4), ("tolerance", float("inf")), ("fd_tolerance", float("inf")),
     ])
     def test_bad_gradcheck_option_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -541,8 +540,8 @@ class TestGradcheck:
     def test_reduced_model_fd_covers_input_gradient(self, monkeypatch):
         bare = oracle.finite_diff
 
-        def wrong_input_gradient(g, x, target, h):
-            fd = bare(g, x, target, h)
+        def wrong_input_gradient(g, x, target):
+            fd = bare(g, x, target)
             fd.node[g.input] = 2 * fd.node[g.input]
             return fd
         monkeypatch.setattr(oracle, "finite_diff", wrong_input_gradient)
@@ -572,12 +571,27 @@ class TestGradcheck:
         errs = node_rel_errors(g, state, oracle.backprop(g, acts, target), cfg.gradcheck.batch)
         assert entry.error == max(errs.values())
         assert entry.error > 1e-2     # the baseline rule would reach the oracle
+        assert not entry.gated
 
     def test_variant_flags_make_report_informational(self):
         cfg = self._cfg(tolerance=1e-18, check_model=False)
         cfg.ar = ARConfig(backwards_mode="learned_psi")
         report = gradcheck(cfg)
-        assert report.informational and report.ok
+        assert all(e.gated == (e.check == "oracle_vs_fd") for e in report.entries) and report.ok
+        assert "oracle_vs_fd is still gated" in report.lines()[-2]
+
+    @pytest.mark.parametrize("variant", [{"backwards_mode": "learned_psi", "backwards_scope": "conv"},
+                                         {"nonlinearity_mode": "dropped", "nonlinearity_scope": "conv"}])
+    def test_variant_scoped_off_every_graph_stays_gated(self, variant):
+        # every graph checked here is dense, so the variant changes no relaxation
+        cfg = self._cfg()
+        cfg.ar = ARConfig(**variant)
+        report = gradcheck(cfg)
+        assert all(e.gated for e in report.entries) and report.ok, "\n".join(report.lines())
+        cfg.gradcheck = replace(cfg.gradcheck, tolerance=1e-18)
+        report = gradcheck(cfg)
+        fails = [line for line in report.lines() if line.startswith("FAIL")]
+        assert not report.ok and fails and all("ar_vs_oracle" in line for line in fails)
 
     @pytest.mark.parametrize("variant", [{"unfreeze_weight_deriv": True},
                                          {"unfreeze_weight_activity": True},
@@ -588,16 +602,17 @@ class TestGradcheck:
         cfg = self._cfg(tolerance=1e-18, check_model=False)
         cfg.ar = ARConfig(**variant)
         report = gradcheck(cfg)
-        assert not report.informational and report.ok is False
+        assert all(e.gated for e in report.entries) and report.ok is False
         fails = [line for line in report.lines() if line.startswith("FAIL")]
         assert fails and all("ar_vs_oracle" in line for line in fails)
 
     def test_worst_line_ranks_gated_entries_only(self):
         report = GradcheckReport([
-            GradcheckEntry("chain_0", "ar_vs_oracle", 2.5, 1e-3, 1),
+            GradcheckEntry("chain_0", "ar_vs_oracle", 2.5, 1e-3, 1, gated=False),
             GradcheckEntry("chain_0", "oracle_vs_fd", 2e-9, 1e-9, 2),
             GradcheckEntry("chain_1", "oracle_vs_fd", 5e-9, 1e-9, 0),
-        ], informational=True)
+        ])
+        assert report.lines()[0].startswith("info ar_vs_oracle")
         assert report.lines()[-1] == "worst: chain_1 (oracle_vs_fd, node 0) err=5.000e-09"
         assert not report.ok
 
@@ -605,7 +620,7 @@ class TestGradcheck:
         cfg = self._cfg(fd_tolerance=1e-18, check_model=False)
         cfg.ar = ARConfig(backwards_mode="learned_psi")
         report = gradcheck(cfg)
-        assert report.informational and report.ok is False
+        assert not any(e.gated for e in report.entries if e.check == "ar_vs_oracle") and report.ok is False
         fails = [line for line in report.lines() if line.startswith("FAIL")]
         assert fails and all("oracle_vs_fd" in line for line in fails)
 
@@ -698,6 +713,13 @@ class TestCli:
         cfg_path.write_text(json.dumps(raw))
         assert cli.main(["gradcheck", "--config", str(cfg_path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", [[], "x"])
+    def test_non_object_config_exit_code(self, tmp_path, capsys, top):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(top))
+        assert cli.main(["gradcheck", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: config section must be an object, got {top!r}\n"
 
     def test_bad_data_dir_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AR_DATA_DIR", raising=False)

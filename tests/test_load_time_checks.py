@@ -35,6 +35,11 @@ def config(**changes):
     return lambda tmp: config_from_dict({**CONFIG, **changes})
 
 
+def empty_cifar_test_batch(tmp):
+    (tmp / "test_batch.bin").write_bytes(b"")
+    return data.load_cifar(str(tmp), "cifar10", "test")
+
+
 def missing_idx_files(tmp):
     (tmp / "mnist").mkdir()
     (tmp / "mnist" / "train-images-idx3-ubyte").write_bytes(IMAGES)
@@ -99,6 +104,10 @@ CASES = {
     "graph_implicit_weights_without_rng": (
         graph(FLAT, {"kind": "dense", "units": 2}, rng=False),
         GraphError, "an Rng is required to initialize parameters that are not given explicitly"),
+    "config_top_level_list": (
+        lambda tmp: config_from_dict([]), ValueError, "config section must be an object, got []"),
+    "config_top_level_string": (
+        lambda tmp: config_from_dict("x"), ValueError, "config section must be an object, got 'x'"),
     "config_mode": (config(mode="sideways"), ValueError, "mode must be 'train' or 'gradcheck', got 'sideways'"),
     "config_epochs": (config(epochs=-1), ValueError, "epochs must be >= 0, got -1"),
     "config_class_count": (
@@ -118,6 +127,11 @@ CASES = {
     "idx_label_byte_out_of_range": (
         idx(labels=LABELS[:8] + bytes([0, 10])),
         data.DataError, "{tmp}/lab: label byte 10 out of range for 10 classes"),
+    "idx_no_records": (
+        idx(images=struct.pack(">IIII", data.IDX_IMAGES_MAGIC, 0, 2, 2),
+            labels=struct.pack(">II", data.IDX_LABELS_MAGIC, 0)),
+        data.DataError, "{tmp}/img: no records"),
+    "cifar_no_records": (empty_cifar_test_batch, data.DataError, "{tmp}/test_batch.bin: no records"),
     "cifar_unknown_variant": (
         lambda tmp: data.load_cifar(str(tmp), "cifar20"), data.DataError, "unknown CIFAR variant 'cifar20'"),
     "dataset_missing_idx_files": (

@@ -18,6 +18,7 @@ from arelax.relaxation import (
     init_state,
     psi_update,
     relax_step,
+    relaxes_to_gradient,
     run_relaxation,
     weight_update,
 )
@@ -25,6 +26,7 @@ from arelax.tensor import Rng
 
 from arelax_testkit import (
     ADD_FROM_INPUT_SPEC,
+    CONV_POOL_SPEC,
     SCOPED_CONFIGS,
     TWO_CONV_POOL_SPEC,
     conv_dags,
@@ -925,6 +927,28 @@ class TestVariants:
         wd_d = weight_update(g, base, d_cfg)
         assert any(not np.allclose(wd_base[j], wd_b[j]) for j in wd_base)
         assert any(not np.allclose(wd_base[j], wd_d[j]) for j in wd_base)
+
+    @pytest.mark.parametrize("variant,dense_chain,conv_pool", [
+        ({}, True, True),
+        ({"backwards_mode": "learned_psi"}, False, False),
+        ({"backwards_mode": "learned_psi", "backwards_scope": "conv"}, True, False),
+        ({"backwards_mode": "learned_psi", "backwards_scope": "dense"}, False, False),
+        ({"nonlinearity_mode": "dropped"}, False, False),
+        ({"nonlinearity_mode": "dropped", "nonlinearity_scope": "conv"}, True, False),
+        ({"nonlinearity_mode": "dropped", "nonlinearity_scope": "dense"}, False, False),
+        # judged from the config alone, whatever the scopes cover
+        ({"unfreeze_relax_deriv": True}, False, False),
+        ({"unfreeze_relax_deriv": True, "backwards_mode": "learned_psi", "backwards_scope": "conv"},
+         False, False),
+        # the weight-side flags leave the relaxation as it is
+        ({"unfreeze_weight_deriv": True}, True, True),
+        ({"unfreeze_weight_activity": True}, True, True),
+        ({"unfreeze_weight_deriv": True, "unfreeze_weight_activity": True}, True, True),
+    ])
+    def test_relaxes_to_gradient_judges_the_graph(self, variant, dense_chain, conv_pool):
+        cfg = ARConfig(**variant)
+        assert relaxes_to_gradient(random_mlp(77)[0], cfg) is dense_chain
+        assert relaxes_to_gradient(build(CONV_POOL_SPEC, Rng(78)), cfg) is conv_pool
 
 
 def train_learned_psi(model: str, scope: str, eta_psi_factor: float, steps: int = 30):
