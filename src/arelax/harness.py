@@ -383,7 +383,7 @@ class GradcheckEntry:
 @dataclass
 class GradcheckReport:
     """Only gated entries can fail the report, and the worst line, which
-    comes last, ranks them alone. An ungated breach is marked info."""
+    comes last, ranks them alone. Each ungated entry is marked info."""
     entries: list[GradcheckEntry]
 
     @property
@@ -393,10 +393,8 @@ class GradcheckReport:
     def lines(self) -> list[str]:
         out = []
         for e in self.entries:
-            mark = "ok  " if e.ok else "FAIL" if e.gated else "info"
+            mark = "info" if not e.gated else "ok  " if e.ok else "FAIL"
             out.append(f"{mark} {e.check:<14} {e.label:<28} err={e.error:.3e} tol={e.tolerance:.1e} node {e.node}")
-        if not all(e.gated for e in self.entries):
-            out.append("ar_vs_oracle is informational where variants change relaxation; oracle_vs_fd is still gated")
         worst = max((e for e in self.entries if e.gated), key=lambda e: e.error / e.tolerance, default=None)
         if worst is not None:
             out.append(f"worst: {worst.label} ({worst.check}, node {worst.node}) err={worst.error:.3e}")

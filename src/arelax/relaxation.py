@@ -12,8 +12,8 @@ One children-first sweep (_sweep) runs this phase with a per-node
 combine: relax_step is the sweep with the update above, and the closed
 form of run_relaxation one sweep per power of the transport with a Horner
 combine. The last step updates only the nodes whose activity the caller
-reads (by default what the updates read), and the sweeps before it only
-what that step reads.
+reads (by default what the updates read); a relaxed activity depends only
+on the nodes below it, and the sweeps or steps before update no others.
 
 The per-edge VJP transports a child's relaxing activity back to its parent
 through the local Jacobian evaluated at the frozen feedforward values: for
@@ -69,9 +69,9 @@ class DivergenceError(RuntimeError):
 
     `iteration` is the step whose result tripped the guard. When several
     nodes trip in one step, `node` is the first one the sweep reaches,
-    counting children first (reverse topological order). When
-    run_relaxation takes the closed-form path (frozen relaxation
-    derivatives) only the final state is checked, so `iteration` is always
+    counting children first (reverse topological order). run_relaxation
+    guards only the nodes it relaxes, and on its closed-form path (frozen
+    relaxation derivatives) only the final state, so `iteration` is always
     n_iters - 1 there, and a transient overshoot is not reported.
     """
 
@@ -137,11 +137,12 @@ def _uses_psi(node, cfg: ARConfig) -> bool:
 
 
 def relaxes_to_gradient(g: Graph, cfg: ARConfig) -> bool:
-    """Whether g relaxes under cfg to the exact loss gradient: frozen
-    relaxation derivatives and no parametric node of g in the learned-psi
-    or dropped-f' scope. The weight-side settings do not count."""
-    return not cfg.unfreeze_relax_deriv and not any(
-        _uses_psi(g.nodes[j], cfg) or _drops_nonlinearity(g.nodes[j], cfg) for j in g.parametric_ids())
+    """Whether g relaxes under cfg to the exact loss gradient. Only a dense or
+    conv node that sends (has a parent other than the input) counts: by learned
+    psi, or if tanh by a dropped or re-evaluated f'; weight-side flags never."""
+    sends = [g.nodes[j] for j in g.parametric_ids() if g.parent_ids[j][0] != g.input]
+    return not any(_uses_psi(n, cfg) or (n.activation == "tanh" and (
+        cfg.unfreeze_relax_deriv or _drops_nonlinearity(n, cfg))) for n in sends)
 
 
 @dataclass
@@ -378,8 +379,8 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -
     vanishes as T grows.
 
     Engine selection. With unfreeze_relax_deriv the step is nonlinear and
-    relax_step, the reference engine, runs n_iters times, over every node
-    but on the last step, which updates only the nodes in `read`.
+    relax_step, the reference engine, runs n_iters times, over `read` and
+    the nodes below it (Graph.below) but on the last step, over `read`.
     Otherwise the state after S = n_iters - 1 steps is computed in closed
     form,
 
@@ -402,8 +403,9 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -
     s = init_state(g, acts, target, cfg)
     last = cfg.n_iters - 1
     if cfg.unfreeze_relax_deriv:
+        reach = read.union(g.below(read))
         for t in range(last):
-            relax_step(g, s, cfg, iteration=t)
+            relax_step(g, s, cfg, iteration=t, read=reach)
     else:
         _closed_form_advance(g, s, cfg, last, read)
     relax_step(g, s, cfg, iteration=last, read=read)

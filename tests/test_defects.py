@@ -1,5 +1,5 @@
-"""Seeded defects: each mutant monkeypatches one node-kind method or
-relaxation helper, and its test asserts which check flags it. The
+"""Seeded defects: each mutant monkeypatches one node-kind or graph method
+or relaxation helper, and its test asserts which check flags it. The
 unpatched code passes the same check on the same case, so a flagged mutant
 shows what the check can catch, not a case that fails anyway. A change to a
 check that stops it flagging a mutant fails here, by the mutant's name.
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from arelax import relaxation
-from arelax.graph import ConvNode, DenseNode, MaxPoolNode, _Parametric, build, forward
+from arelax.graph import ConvNode, DenseNode, Graph, MaxPoolNode, _Parametric, build, forward
 from arelax.harness import GradcheckEntry, GradcheckOptions, _fd_entry, random_case, rel_error
 from arelax.oracle import backprop
 from arelax.relaxation import ARConfig
@@ -81,6 +81,19 @@ def closed_form_vs_steps():
     return worst_entry("closed_form_vs_steps", errs, 1e-12)
 
 
+def unfrozen_vs_steps():
+    """run_relaxation under unfreeze_relax_deriv, at the nodes it reads by
+    default, against relax_step taken T times over every node."""
+    g, acts, target = relaxation_case()
+    cfg = ARConfig(n_iters=20, unfreeze_relax_deriv=True)
+    got = relaxation.run_relaxation(g, acts, target, cfg)
+    want = relaxation.init_state(g, acts, target, cfg)
+    for it in range(cfg.n_iters):
+        relaxation.relax_step(g, want, cfg, iteration=it)
+    errs = {(0, i): rel_error(x, want.x[i]) for i, x in enumerate(got.x) if x is not None}
+    return worst_entry("unfrozen_vs_steps", errs, 0.0)
+
+
 def updates_vs_fresh_state():
     """Under learned psi, the weight and psi updates after a relax_step
     that follows a weight_update, against those of the same activities in
@@ -100,7 +113,7 @@ def updates_vs_fresh_state():
 
 
 CHECKS = {f.__name__: f for f in (oracle_vs_fd, steps_vs_reference, closed_form_vs_steps,
-                                  updates_vs_fresh_state)}
+                                  unfrozen_vs_steps, updates_vs_fresh_state)}
 
 
 def pool_vjp_to_window_corner(self, g, saved):
@@ -178,6 +191,8 @@ MUTANTS = {
                               cascade_one_step_more(relaxation._cascade_coefficients), "closed_form_vs_steps"),
     "relax_step_keeps_outers": (relaxation, "relax_step", step_keeping_outers(relaxation.relax_step),
                                 "updates_vs_fresh_state"),
+    # run_relaxation's unfrozen steps before the last reach the read set alone
+    "below_reaches_nothing": (Graph, "below", lambda self, nodes: [], "unfrozen_vs_steps"),
 }
 
 

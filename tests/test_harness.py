@@ -578,7 +578,27 @@ class TestGradcheck:
         cfg.ar = ARConfig(backwards_mode="learned_psi")
         report = gradcheck(cfg)
         assert all(e.gated == (e.check == "oracle_vs_fd") for e in report.entries) and report.ok
-        assert "oracle_vs_fd is still gated" in report.lines()[-2]
+        lines = report.lines()
+        assert [line[:4] for line in lines[:-1]] == ["info" if e.check == "ar_vs_oracle" else "ok  "
+                                                      for e in report.entries]
+        assert lines[-1].startswith("worst: ") and "(oracle_vs_fd," in lines[-1]
+
+    # chain_11 and chain_14 are a tanh layer fed by the input and a linear
+    # head, so the one f' the variant drops or re-evaluates sends nothing
+    @pytest.mark.parametrize("variant, gated", [
+        ({"nonlinearity_mode": "dropped"}, {"chain_11", "chain_14"}),
+        ({"unfreeze_relax_deriv": True}, {"chain_11", "chain_14"}),
+        ({"backwards_mode": "learned_psi"}, set()),
+    ])
+    def test_shipped_config_gates_each_graph_by_what_it_sends(self, variant, gated):
+        cfg = config_from_file(str(Path(__file__).resolve().parents[1] / "configs" / "gradcheck.json"))
+        cfg.ar = replace(cfg.ar, **variant)
+        report = gradcheck(cfg)
+        relaxed = [e for e in report.entries if e.check == "ar_vs_oracle"]
+        assert len(relaxed) == 21 and {e.label for e in relaxed if e.gated} == gated
+        assert report.ok, "\n".join(report.lines())
+        marks = [line[:4] for line in report.lines() if " ar_vs_oracle " in line]
+        assert marks == ["ok  " if e.gated else "info" for e in relaxed]
 
     @pytest.mark.parametrize("variant", [{"backwards_mode": "learned_psi", "backwards_scope": "conv"},
                                          {"nonlinearity_mode": "dropped", "nonlinearity_scope": "conv"}])
@@ -610,9 +630,11 @@ class TestGradcheck:
         report = GradcheckReport([
             GradcheckEntry("chain_0", "ar_vs_oracle", 2.5, 1e-3, 1, gated=False),
             GradcheckEntry("chain_0", "oracle_vs_fd", 2e-9, 1e-9, 2),
+            GradcheckEntry("chain_1", "ar_vs_oracle", 1e-15, 1e-3, 1, gated=False),
             GradcheckEntry("chain_1", "oracle_vs_fd", 5e-9, 1e-9, 0),
         ])
-        assert report.lines()[0].startswith("info ar_vs_oracle")
+        # ungated is info, within tolerance or not
+        assert [line[:4] for line in report.lines()[:-1]] == ["info", "FAIL", "info", "FAIL"]
         assert report.lines()[-1] == "worst: chain_1 (oracle_vs_fd, node 0) err=5.000e-09"
         assert not report.ok
 
@@ -669,6 +691,15 @@ class TestCli:
         assert cli.main(["run", "--config", cfg_path, "--output", target]) == 0
         assert os.path.exists(target)
 
+    def test_run_data_dir_override(self, synth_data_root, tmp_path, monkeypatch):
+        monkeypatch.delenv("AR_DATA_DIR", raising=False)
+        cfg_path = Path(self._write_cfg(tmp_path, None))
+        raw = json.loads(cfg_path.read_text())
+        del raw["data_dir"]
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg_path), "--data-dir", synth_data_root]) == 0
+        assert read_metrics(str(tmp_path / "cli_metrics.csv"))
+
     def test_gradcheck_command(self, synth_data_root, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, synth_data_root,
                                    gradcheck={"graphs": 3, "batch": 2, "iters": 400,
@@ -689,8 +720,10 @@ class TestCli:
                                    gradcheck={"graphs": 3, "batch": 2, "iters": 400,
                                               "check_model": False, "fd_tolerance": 1e-18})
         assert cli.main(["gradcheck", "--config", cfg_path]) == 1
-        out = capsys.readouterr().out
-        assert "oracle_vs_fd is still gated" in out and "gradcheck FAILED" in out
+        out = capsys.readouterr().out.splitlines()
+        assert [line[:4] for line in out if " ar_vs_oracle " in line] == ["info"] * 3
+        assert [line[:4] for line in out if " oracle_vs_fd " in line] == ["FAIL"] * 3
+        assert out[-1] == "gradcheck FAILED"
 
     def test_run_refuses_gradcheck_config(self, synth_data_root, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, synth_data_root, mode="gradcheck")

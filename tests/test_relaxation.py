@@ -12,6 +12,7 @@ from arelax.harness import node_rel_errors, random_case, random_chain_spec, rel_
 from arelax.oracle import backprop, loss_mse
 from arelax.relaxation import (
     DIVERGENCE_LIMIT,
+    SCOPES,
     ARConfig,
     DivergenceError,
     apply_updates,
@@ -474,16 +475,16 @@ class TestReadSet:
     """run_relaxation computes only what its read set needs."""
 
     # VJP calls per node id: T = 50 with frozen relaxation derivatives (the
-    # Horner sweeps and the last step), T = 5 with unfrozen ones (four full
-    # steps and the last). mlp4 is input, flatten, four dense nodes; cnn is
-    # input, conv, pool, conv, flatten, two dense nodes; skip_dag is input,
-    # dense, dense, add, dense.
+    # Horner sweeps and the last step), T = 5 with unfrozen ones (four steps
+    # over the read set and the nodes below it, and the last). mlp4 is
+    # input, flatten, four dense nodes; cnn is input, conv, pool, conv,
+    # flatten, two dense nodes; skip_dag is input, dense, dense, add, dense.
     @pytest.mark.parametrize("name, variant, calls", [
         ("mlp4", "baseline", [0, 0, 0, 2, 3, 4]),       # nothing reads flatten
         ("mlp4", "learned_psi", [0, 0, 0, 2, 3, 4]),
         ("mlp4", "weight_deriv", [0, 0, 2, 3, 4, 5]),   # f' of dense 2 reads flatten
         ("mlp4", "weight_activity", [0, 0, 2, 3, 4, 5]),
-        ("mlp4", "relax_deriv", [0, 0, 4, 5, 5, 5]),
+        ("mlp4", "relax_deriv", [0, 0, 0, 5, 5, 5]),     # nothing reads flatten
         ("mlp4", "relax_and_weight_deriv", [0, 0, 5, 5, 5, 5]),
         ("cnn", "baseline", [0, 0, 2, 2, 4, 4, 6]),     # the last step skips conv2 and dense 5
         ("cnn", "learned_psi", [0, 0, 2, 2, 4, 4, 6]),
@@ -931,24 +932,47 @@ class TestVariants:
     @pytest.mark.parametrize("variant,dense_chain,conv_pool", [
         ({}, True, True),
         ({"backwards_mode": "learned_psi"}, False, False),
-        ({"backwards_mode": "learned_psi", "backwards_scope": "conv"}, True, False),
+        ({"backwards_mode": "learned_psi", "backwards_scope": "conv"}, True, True),
         ({"backwards_mode": "learned_psi", "backwards_scope": "dense"}, False, False),
-        ({"nonlinearity_mode": "dropped"}, False, False),
-        ({"nonlinearity_mode": "dropped", "nonlinearity_scope": "conv"}, True, False),
-        ({"nonlinearity_mode": "dropped", "nonlinearity_scope": "dense"}, False, False),
-        # judged from the config alone, whatever the scopes cover
-        ({"unfreeze_relax_deriv": True}, False, False),
+        ({"nonlinearity_mode": "dropped"}, False, True),
+        ({"nonlinearity_mode": "dropped", "nonlinearity_scope": "conv"}, True, True),
+        ({"nonlinearity_mode": "dropped", "nonlinearity_scope": "dense"}, False, True),
+        ({"unfreeze_relax_deriv": True}, False, True),
         ({"unfreeze_relax_deriv": True, "backwards_mode": "learned_psi", "backwards_scope": "conv"},
-         False, False),
+         False, True),
         # the weight-side flags leave the relaxation as it is
         ({"unfreeze_weight_deriv": True}, True, True),
         ({"unfreeze_weight_activity": True}, True, True),
         ({"unfreeze_weight_deriv": True, "unfreeze_weight_activity": True}, True, True),
     ])
     def test_relaxes_to_gradient_judges_the_graph(self, variant, dense_chain, conv_pool):
+        # dense_chain is three tanh layers and a linear head; conv_pool's
+        # conv is fed by the input, so only its linear dense head sends
         cfg = ARConfig(**variant)
-        assert relaxes_to_gradient(random_mlp(77)[0], cfg) is dense_chain
+        assert relaxes_to_gradient(GRAPHS["chain_a"]()[0], cfg) is dense_chain
         assert relaxes_to_gradient(build(CONV_POOL_SPEC, Rng(78)), cfg) is conv_pool
+
+    @pytest.mark.parametrize("graph", ["chain_b", "add_from_input"])
+    @pytest.mark.parametrize("variant", [{"nonlinearity_mode": "dropped"}, {"unfreeze_relax_deriv": True}])
+    def test_fprime_that_sends_nothing_keeps_the_gate(self, graph, variant):
+        # a tanh layer fed by the input and a linear head: the one f' the
+        # variant drops or re-evaluates sends into nothing that relaxes
+        assert relaxes_to_gradient(GRAPHS[graph]()[0], ARConfig(**variant))
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_gated_settings_relax_to_the_oracle(self, graph):
+        # the gate's soundness: each setting it keeps gated on the graph
+        # still relaxes to the loss gradient
+        g, x, t = GRAPHS[graph]()
+        acts = forward(g, x)
+        grads = backprop(g, acts, t)
+        for variant in [{"unfreeze_relax_deriv": True},
+                        *({"backwards_mode": "learned_psi", "backwards_scope": scope} for scope in SCOPES),
+                        *({"nonlinearity_mode": "dropped", "nonlinearity_scope": scope} for scope in SCOPES)]:
+            cfg = ARConfig(n_iters=400, **variant)
+            if relaxes_to_gradient(g, cfg):
+                s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
+                assert max(node_rel_errors(g, s, grads, x.shape[0]).values()) < 1e-9, variant
 
 
 def train_learned_psi(model: str, scope: str, eta_psi_factor: float, steps: int = 30):
