@@ -15,8 +15,8 @@ keeps every row written so far.
 
 gradcheck() verifies the gradient chain on random small graphs and a
 reduced-width build of the configured model: relaxation equilibria against
-reverse-mode gradients, and reverse-mode gradients against central finite
-differences.
+the reverse-mode pass each settles to, and reverse-mode gradients against
+central finite differences.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import models, oracle, relaxation
-from .graph import Graph, build, forward
+from .graph import ConvNode, Graph, build, forward
 from .relaxation import ARConfig, DivergenceError, RelaxState
 from .tensor import NonFiniteError, Rng, Tensor
 
@@ -49,7 +49,7 @@ class GradcheckOptions:
     graphs: int = 20          # random small graphs in the suite
     batch: int = 4
     iters: int = 500          # relaxation iterations for the equilibrium check
-    tolerance: float = 1e-3   # AR equilibrium vs reverse-mode gradients
+    tolerance: float = 1e-9   # AR equilibrium vs reverse-mode gradients
     fd_tolerance: float = 1e-4
     check_model: bool = True  # also check the configured model at reduced width
 
@@ -373,7 +373,6 @@ class GradcheckEntry:
     error: float
     tolerance: float
     node: int           # graph node with the worst error
-    gated: bool = True  # whether a breach fails the report; oracle_vs_fd always is
 
     @property
     def ok(self) -> bool:
@@ -382,20 +381,18 @@ class GradcheckEntry:
 
 @dataclass
 class GradcheckReport:
-    """Only gated entries can fail the report, and the worst line, which
-    comes last, ranks them alone. Each ungated entry is marked info."""
+    """Any entry over its tolerance fails the report. The worst line, which
+    comes last, names the entry with the largest error over tolerance."""
     entries: list[GradcheckEntry]
 
     @property
     def ok(self) -> bool:
-        return all(e.ok or not e.gated for e in self.entries)
+        return all(e.ok for e in self.entries)
 
     def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            mark = "info" if not e.gated else "ok  " if e.ok else "FAIL"
-            out.append(f"{mark} {e.check:<14} {e.label:<28} err={e.error:.3e} tol={e.tolerance:.1e} node {e.node}")
-        worst = max((e for e in self.entries if e.gated), key=lambda e: e.error / e.tolerance, default=None)
+        out = [f"{'ok  ' if e.ok else 'FAIL'} {e.check:<14} {e.label:<28} err={e.error:.3e} "
+               f"tol={e.tolerance:.1e} node {e.node}" for e in self.entries]
+        worst = max(self.entries, key=lambda e: e.error / e.tolerance, default=None)
         if worst is not None:
             out.append(f"worst: {worst.label} ({worst.check}, node {worst.node}) err={worst.error:.3e}")
         return out
@@ -406,15 +403,31 @@ def _check_graph(label: str, g: Graph, rng: Rng, cfg: ExperimentConfig,
     gc = cfg.gradcheck
     x, target = random_case(g, rng, gc.batch)
     acts = forward(g, x)
-    grads = oracle.backprop(g, acts, target)
     # node_rel_errors reads every node
     state = relaxation.run_relaxation(g, acts, target, replace(cfg.ar, n_iters=gc.iters),
                                       read=range(len(g.nodes)))
+    grads = oracle.backprop(g, acts, target, **variant_substitutions(g, cfg.ar, state))
     errs = node_rel_errors(g, state, grads, gc.batch)
     worst_node = max(errs, key=errs.get)
-    entries.append(GradcheckEntry(label, "ar_vs_oracle", errs[worst_node], gc.tolerance, worst_node,
-                                  gated=relaxation.relaxes_to_gradient(g, cfg.ar)))
-    entries.append(_fd_entry(label, g, x, target, grads, gc))
+    entries.append(GradcheckEntry(label, "ar_vs_oracle", errs[worst_node], gc.tolerance, worst_node))
+    entries.append(_fd_entry(label, g, x, target, oracle.backprop(g, acts, target), gc))
+
+
+def variant_substitutions(g: Graph, cfg: ARConfig, state: RelaxState) -> dict[str, dict]:
+    """backprop's substitutions for the pass that cfg's relaxation settles
+    to at state. The scope rule is stated again from the node kind, not taken
+    from relaxation, so that a defect in the engine's rule shows."""
+    back, fprime = {}, {}
+    for j in g.parametric_ids():
+        node = g.nodes[j]
+        kind = "conv" if isinstance(node, ConvNode) else "dense"
+        if cfg.backwards_mode == "learned_psi" and cfg.backwards_scope in ("all", kind):
+            back[j] = node.mirror(node.psi)
+        if cfg.nonlinearity_mode == "dropped" and cfg.nonlinearity_scope in ("all", kind):
+            fprime[j] = None
+        elif cfg.unfreeze_relax_deriv:
+            fprime[j] = node.fprime(node.forward(state.x, g.parent_ids[j])[0])
+    return {"back": back, "fprime": fprime}
 
 
 def _fd_entry(label: str, g: Graph, x: Tensor, target: Tensor,
@@ -429,13 +442,9 @@ def _fd_entry(label: str, g: Graph, x: Tensor, target: Tensor,
 
 
 def gradcheck(cfg: ExperimentConfig) -> GradcheckReport:
-    """Check AR equilibria against reverse-mode gradients and reverse-mode
-    gradients against finite differences.
-
-    On a graph whose relaxation's fixed point is not the loss gradient
-    (relaxation.relaxes_to_gradient) the AR-vs-oracle entry is reported
-    but not gated: those variants are approximations by design.
-    """
+    """Check AR equilibria against the reverse-mode pass they settle to
+    (variant_substitutions), and the plain reverse-mode gradients against
+    finite differences."""
     gc = cfg.gradcheck
     entries: list[GradcheckEntry] = []
     seed = cfg.seeds[0]

@@ -41,7 +41,7 @@ def _stacked_losses(output: Tensor, target: Tensor) -> np.ndarray:
     return 0.5 * np.sum((d ** 2).reshape(d.shape[0], -1), axis=1) / target.shape[0]
 
 
-def backprop(g: Graph, acts: Sweep, target, *, read=None) -> GradientSet:
+def backprop(g: Graph, acts: Sweep, target, *, read=None, back=None, fprime=None) -> GradientSet:
     """Exact reverse-mode gradients of loss_mse at the given sweep.
 
     Each node applies its own VJP to the sweep record forward saved (the
@@ -53,7 +53,12 @@ def backprop(g: Graph, acts: Sweep, target, *, read=None) -> GradientSet:
     node). A node's gradient is computed iff it is in `read` or below it
     (Graph.below), so grads.node holds those nodes and grads.param the
     parametric ones among them; a VJP into no such parent does not run.
+
+    `back` and `fprime` map a dense/conv node id to what its VJP takes in
+    place of W and to its f' (None: no factor); a relaxation variant settles
+    to the pass with its substitutions (harness.variant_substitutions).
     """
+    back, fprime = back or {}, fprime or {}
     target = tensor.as_tensor(target)
     batch = acts[g.input].shape[0]
     needed = set(range(len(g.nodes)) if read is None else read)
@@ -68,13 +73,13 @@ def backprop(g: Graph, acts: Sweep, target, *, read=None) -> GradientSet:
         node = g.nodes[j]
         gj = grads.node[j]
         if isinstance(node, PARAMETRIC):
-            fp = node.fprime(acts[j])
+            fp = fprime[j] if j in fprime else node.fprime(acts[j])
             if fp is not None:
                 gj = fp * gj
             grads.param[j] = node.outer(gj, acts.saved[j])
         ps = g.parent_ids[j]
         if needed.intersection(ps):
-            for p, contribution in zip(ps, node.vjp(gj, acts.saved[j])):
+            for p, contribution in zip(ps, node.vjp(gj, acts.saved[j], *([back[j]] if j in back else []))):
                 if p in needed:
                     grads.node[p] = grads.node[p] + contribution if p in grads.node else contribution
 

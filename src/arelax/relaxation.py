@@ -136,15 +136,6 @@ def _uses_psi(node, cfg: ARConfig) -> bool:
     return cfg.backwards_mode == "learned_psi" and _in_scope(node, cfg.backwards_scope)
 
 
-def relaxes_to_gradient(g: Graph, cfg: ARConfig) -> bool:
-    """Whether g relaxes under cfg to the exact loss gradient. Only a dense or
-    conv node that sends (has a parent other than the input) counts: by learned
-    psi, or if tanh by a dropped or re-evaluated f'; weight-side flags never."""
-    sends = [g.nodes[j] for j in g.parametric_ids() if g.parent_ids[j][0] != g.input]
-    return not any(_uses_psi(n, cfg) or (n.activation == "tanh" and (
-        cfg.unfreeze_relax_deriv or _drops_nonlinearity(n, cfg))) for n in sends)
-
-
 @dataclass
 class RelaxState:
     """Frozen sweep data plus the relaxing activities for one minibatch.

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from arelax import data as data_mod
 from arelax import oracle
-from arelax.graph import PARAMETRIC, ConvNode, build, forward
+from arelax.graph import PARAMETRIC, build, forward
+from arelax.harness import variant_substitutions
 from arelax.relaxation import ARConfig
 
 
@@ -208,14 +209,10 @@ def reference_step(g, s, cfg):
     must agree with it bit for bit where no node has two relaxing children,
     and up to summation order elsewhere.
 
-    The variant rules are stated here again from the config and the node
-    kind, not taken from the engine's helpers, so that a defect in those
-    shows: a tanh node scales by f' unless cfg drops f' in its scope (at the
-    sweep, or with unfreeze_relax_deriv at its forward from the relaxing
-    parents), and a node in the learned-psi scope transports through psi."""
-    def in_scope(node, scope):
-        return scope == "all" or scope == ("conv" if isinstance(node, ConvNode) else "dense")
-
+    The variant rules are the gradient check's (harness.variant_substitutions),
+    not the engine's helpers, so that a defect in those shows: each node's
+    back matrix, and its f' where one is given (else at the sweep)."""
+    sub = variant_substitutions(g, cfg, s)
     incoming = {}
     for j in g.topo_order:
         ps = g.parent_ids[j]
@@ -223,13 +220,8 @@ def reference_step(g, s, cfg):
             continue
         node = g.nodes[j]
         if isinstance(node, PARAMETRIC):
-            v = s.x[j]
-            if node.activation == "tanh" and not (
-                    cfg.nonlinearity_mode == "dropped" and in_scope(node, cfg.nonlinearity_scope)):
-                out = node.forward(s.x, ps)[0] if cfg.unfreeze_relax_deriv else s.xbar[j]
-                v = (1.0 - out * out) * v
-            learned = cfg.backwards_mode == "learned_psi" and in_scope(node, cfg.backwards_scope)
-            sent = node.vjp(v, s.saved[j], node.mirror(node.psi) if learned else None)
+            fp = sub["fprime"][j] if j in sub["fprime"] else node.fprime(s.xbar[j])
+            sent = node.vjp(s.x[j] if fp is None else fp * s.x[j], s.saved[j], sub["back"].get(j))
         else:
             sent = node.vjp(s.x[j], s.saved[j])
         for p, contribution in zip(ps, sent):

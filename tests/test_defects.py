@@ -15,7 +15,9 @@ import pytest
 
 from arelax import relaxation
 from arelax.graph import ConvNode, DenseNode, Graph, MaxPoolNode, _Parametric, build, forward
-from arelax.harness import GradcheckEntry, GradcheckOptions, _fd_entry, random_case, rel_error
+from arelax.harness import (ExperimentConfig, GradcheckEntry, GradcheckOptions, _check_graph, _fd_entry,
+                            random_case, rel_error)
+from arelax.models import ModelSpec
 from arelax.oracle import backprop
 from arelax.relaxation import ARConfig
 from arelax.tensor import Rng
@@ -41,6 +43,20 @@ def relaxation_case():
     g = build(TWO_CONV_POOL_SPEC, rng)
     x, target = random_case(g, rng, 2)
     return g, forward(g, x), target
+
+
+def ar_vs_variant_oracle():
+    """harness.gradcheck's relaxation-vs-oracle entry on the two-conv graph
+    under each scoped setting and under unfreeze_relax_deriv alone, which
+    re-evaluates the second conv's f': the relaxed activities against the
+    backward pass with the setting's substitutions."""
+    entries = []
+    for ar in [*SCOPED_CONFIGS, ARConfig(unfreeze_relax_deriv=True)]:
+        cfg = ExperimentConfig(model=ModelSpec("mlp4"), dataset="mnist", epochs=0, seeds=[0],
+                               output="unused.csv", ar=ar)
+        rng = Rng(42)
+        _check_graph("two_conv_pool", build(TWO_CONV_POOL_SPEC, rng), rng, cfg, entries)
+    return max((e for e in entries if e.check == "ar_vs_oracle"), key=lambda e: e.error)
 
 
 def worst_entry(check: str, errs: dict, tolerance: float) -> GradcheckEntry:
@@ -113,7 +129,7 @@ def updates_vs_fresh_state():
 
 
 CHECKS = {f.__name__: f for f in (oracle_vs_fd, steps_vs_reference, closed_form_vs_steps,
-                                  unfrozen_vs_steps, updates_vs_fresh_state)}
+                                  unfrozen_vs_steps, updates_vs_fresh_state, ar_vs_variant_oracle)}
 
 
 def pool_vjp_to_window_corner(self, g, saved):
@@ -155,6 +171,25 @@ def scale_keeping_dropped_fprime(bare):
     return scale
 
 
+def in_scope_swapping_kinds(bare):
+    """_in_scope with the conv and dense scopes swapped."""
+    return lambda node, scope: bare(node, {"conv": "dense", "dense": "conv"}.get(scope, scope))
+
+
+def fprime_at_sweep(bare):
+    """_scale_by_fprime taking f' at the sweep even where it is unfrozen."""
+    return lambda g, s, cfg, j, v, unfrozen: bare(g, s, cfg, j, v, False)
+
+
+def eps_bar_scaled(bare):
+    """init_state with the output error 1e-5 too large, relative."""
+    def init_state(g, acts, target, cfg):
+        s = bare(g, acts, target, cfg)
+        s.eps_bar = s.eps_bar * (1 + 1e-5)
+        return s
+    return init_state
+
+
 def cascade_one_step_more(bare):
     """_cascade_coefficients for one step more than the closed form takes."""
     return lambda steps, depth, eta: bare(steps + 1, depth, eta)
@@ -193,6 +228,13 @@ MUTANTS = {
                                 "updates_vs_fresh_state"),
     # run_relaxation's unfrozen steps before the last reach the read set alone
     "below_reaches_nothing": (Graph, "below", lambda self, nodes: [], "unfrozen_vs_steps"),
+    "in_scope_swaps_kinds": (relaxation, "_in_scope", in_scope_swapping_kinds(relaxation._in_scope),
+                             "ar_vs_variant_oracle"),
+    "unfrozen_fprime_at_sweep": (relaxation, "_scale_by_fprime", fprime_at_sweep(relaxation._scale_by_fprime),
+                                 "ar_vs_variant_oracle"),
+    # within 1e-3, so only the tightened gate flags it
+    "eps_bar_x(1+1e-5)": (relaxation, "init_state", eps_bar_scaled(relaxation.init_state),
+                          "ar_vs_variant_oracle"),
 }
 
 

@@ -8,18 +8,23 @@ from hypothesis import strategies as st
 
 from arelax import models, relaxation, tensor
 from arelax.graph import ConvNode, DenseNode, InputNode, MaxPoolNode, build, forward
-from arelax.harness import node_rel_errors, random_case, random_chain_spec, rel_error, skip_dag_spec
+from arelax.harness import (
+    node_rel_errors,
+    random_case,
+    random_chain_spec,
+    rel_error,
+    skip_dag_spec,
+    variant_substitutions,
+)
 from arelax.oracle import backprop, loss_mse
 from arelax.relaxation import (
     DIVERGENCE_LIMIT,
-    SCOPES,
     ARConfig,
     DivergenceError,
     apply_updates,
     init_state,
     psi_update,
     relax_step,
-    relaxes_to_gradient,
     run_relaxation,
     weight_update,
 )
@@ -134,6 +139,14 @@ def assert_steps_match_reference(g, acts, t, cfg, steps=3):
             assert rel_error(a, b) <= 1e-12
         scale = max(float(np.max(np.abs(a))) for a in ref.x)
         assert abs(s.last_max_dx - ref.last_max_dx) <= 1e-12 * scale
+
+
+def relaxes_to_variant_oracle(g, acts, t, cfg) -> float:
+    """Worst per-node error of the relaxation at T=800 against the variant
+    oracle; at T=400 the finite-T transient on an 11-node graph is 1e-9."""
+    s = run_relaxation(g, acts, t, replace(cfg, n_iters=800), read=range(len(g.nodes)))
+    grads = backprop(g, acts, t, **variant_substitutions(g, cfg, s))
+    return max(node_rel_errors(g, s, grads, acts[g.input].shape[0]).values())
 
 
 class TestARConfig:
@@ -946,33 +959,29 @@ class TestVariants:
         ({"unfreeze_weight_deriv": True, "unfreeze_weight_activity": True}, True, True),
     ])
     def test_relaxes_to_gradient_judges_the_graph(self, variant, dense_chain, conv_pool):
-        # dense_chain is three tanh layers and a linear head; conv_pool's
-        # conv is fed by the input, so only its linear dense head sends
-        cfg = ARConfig(**variant)
-        assert relaxes_to_gradient(GRAPHS["chain_a"]()[0], cfg) is dense_chain
-        assert relaxes_to_gradient(build(CONV_POOL_SPEC, Rng(78)), cfg) is conv_pool
-
-    @pytest.mark.parametrize("graph", ["chain_b", "add_from_input"])
-    @pytest.mark.parametrize("variant", [{"nonlinearity_mode": "dropped"}, {"unfreeze_relax_deriv": True}])
-    def test_fprime_that_sends_nothing_keeps_the_gate(self, graph, variant):
-        # a tanh layer fed by the input and a linear head: the one f' the
-        # variant drops or re-evaluates sends into nothing that relaxes
-        assert relaxes_to_gradient(GRAPHS[graph]()[0], ARConfig(**variant))
+        # whether a setting relaxes to the loss gradient depends on the graph:
+        # dense_chain is three tanh layers and a linear head; conv_pool's conv
+        # is fed by the input, so only its linear dense head sends
+        cfg = ARConfig(n_iters=800, **variant)
+        for (g, x, t), want in [(GRAPHS["chain_a"](), dense_chain), (spec_case(CONV_POOL_SPEC, 78, 3), conv_pool)]:
+            acts = forward(g, x)
+            s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
+            assert (max(node_rel_errors(g, s, backprop(g, acts, t), x.shape[0]).values()) <= 1e-12) is want
 
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     def test_gated_settings_relax_to_the_oracle(self, graph):
-        # the gate's soundness: each setting it keeps gated on the graph
-        # still relaxes to the loss gradient
+        # every setting is gated: it relaxes to the backward pass with its
+        # substitutions
         g, x, t = GRAPHS[graph]()
-        acts = forward(g, x)
-        grads = backprop(g, acts, t)
-        for variant in [{"unfreeze_relax_deriv": True},
-                        *({"backwards_mode": "learned_psi", "backwards_scope": scope} for scope in SCOPES),
-                        *({"nonlinearity_mode": "dropped", "nonlinearity_scope": scope} for scope in SCOPES)]:
-            cfg = ARConfig(n_iters=400, **variant)
-            if relaxes_to_gradient(g, cfg):
-                s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
-                assert max(node_rel_errors(g, s, grads, x.shape[0]).values()) < 1e-9, variant
+        for cfg in STEP_CONFIGS:
+            assert relaxes_to_variant_oracle(g, forward(g, x), t, cfg) <= 1e-12, cfg
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(conv_dags(), st.sampled_from(STEP_CONFIGS))
+    def test_relaxes_to_the_variant_oracle_on_random_dags(self, case, cfg):
+        spec, seed, batch = case
+        g, x, t = spec_case(spec, seed, batch)
+        assert relaxes_to_variant_oracle(g, forward(g, x), t, cfg) <= 1e-12
 
 
 def train_learned_psi(model: str, scope: str, eta_psi_factor: float, steps: int = 30):
