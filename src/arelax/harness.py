@@ -50,7 +50,7 @@ class GradcheckOptions:
     batch: int = 4
     iters: int = 500          # relaxation iterations for the equilibrium check
     tolerance: float = 1e-9   # AR equilibrium vs reverse-mode gradients
-    fd_tolerance: float = 1e-4
+    fd_tolerance: float = 1e-7
     check_model: bool = True  # also check the configured model at reduced width
 
     def __post_init__(self):

@@ -31,14 +31,15 @@ def loss_mse(output, target) -> float:
     target = np.asarray(target, dtype=np.float64)
     if output.shape != target.shape:
         raise ShapeError(f"loss_mse: output {output.shape} vs target {target.shape}")
-    return float(_stacked_losses(output, target)[0])
+    return float(_stacked_losses(output, target, target.shape[0])[0])
 
 
-def _stacked_losses(output: Tensor, target: Tensor) -> np.ndarray:
-    """loss_mse of each of the P batches stacked on output's batch axis
-    (P*B rows against B target rows), one value per batch."""
-    d = target - output.reshape(-1, *target.shape)
-    return 0.5 * np.sum((d ** 2).reshape(d.shape[0], -1), axis=1) / target.shape[0]
+def _stacked_losses(output: Tensor, target: Tensor, batch: int) -> np.ndarray:
+    """Per copy stacked on output's batch axis, half its squared error
+    against target over batch. A copy has the shape of target's last
+    output.ndim axes; target's leading axes, if any, give each copy's own."""
+    d = target - output.reshape(-1, *target.shape[-output.ndim:])
+    return 0.5 * np.sum((d ** 2).reshape(d.shape[0], -1), axis=1) / batch
 
 
 def backprop(g: Graph, acts: Sweep, target, *, read=None, back=None, fprime=None) -> GradientSet:
@@ -106,8 +107,10 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     chunk of perturbed entries at a time (_chunk_plan): node j's activation
     and NaN/Inf check run once on the stack, and only the nodes below j
     (Graph.below) run on it, once per chunk; any other parent they read is
-    the unperturbed activation, tiled. Each copy's loss is loss_mse over
-    its own rows.
+    the unperturbed activation, tiled. A copy's loss is its rows' terms of
+    loss_mse: a weight's copies hold the whole batch, and input coordinate
+    (b, i), which changes only sample b's term, gets one-row copies of
+    sample b, scored against target row b.
 
     A weight is perturbed a column at a time: all output rows o of one
     input index k (for a conv kernel, one (c, u, v)) are set to v+h, node
@@ -117,8 +120,7 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     pre-activation with entry (o, k) perturbed alone, from the same GEMM
     arithmetic. Each column's two products are computed once per node,
     and the copy of entry (o, k) is node j's unperturbed pre-activation with
-    channel o taken from them. An input coordinate's copies are the input
-    with that coordinate at v+h and v-h.
+    channel o taken from them.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"finite_diff: step must be positive and finite, got {h}")
@@ -138,15 +140,19 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     return grads
 
 
-def _chunk_plan(g: Graph, batch: int, j: int, size: int) -> tuple[list[int], set[int], int]:
+def _chunk_plan(g: Graph, batch: int, j: int, size: int) -> tuple[list[int], set[int], int, int]:
     """How finite_diff stacks node j's size perturbed entries: the nodes
     below j that each chunk runs, the other parents they read (the
-    unperturbed activation, tiled), and the +h/-h pairs per chunk, at most
-    FD_CHUNK_BYTES of stacked activations and at least one pair."""
+    unperturbed activation, tiled; none for the input, which every node
+    lies below), the rows per copy (batch for a weight entry, 1 for an
+    input coordinate) and the +h/-h pairs per chunk, at most FD_CHUNK_BYTES
+    of stacked activations and at least one pair."""
     below = g.below([j])
     tiled = {p for i in below for p in g.parent_ids[i]} - set(below) - {j}
-    copy_bytes = 8 * batch * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
-    return below, tiled, max(1, min(FD_CHUNK_BYTES // (2 * copy_bytes), size))
+    rows = 1 if j == g.input else batch
+    assert rows == batch or not tiled
+    copy_bytes = 8 * rows * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
+    return below, tiled, rows, max(1, min(FD_CHUNK_BYTES // (2 * copy_bytes), size))
 
 
 def _column_fill(node, saved: Tensor, shape: tuple[int, ...], h: float):
@@ -170,23 +176,26 @@ def _column_fill(node, saved: Tensor, shape: tuple[int, ...], h: float):
             col[...] = orig
     base = node.linear(saved)
 
-    def fill(out: Tensor, k0: int, n: int) -> None:
+    def fill(out: Tensor, k0: int, n: int) -> slice:
         rows, ks = np.divmod(np.arange(k0, k0 + n), cols)
         out[...] = base
         out[np.arange(n), :, :, rows] = prods[ks, :, :, rows]
+        return slice(None)
     return fill
 
 
 def _input_fill(x: Tensor, h: float):
-    """fill for the coordinates of the input x: copies of x with one
-    coordinate at v+h or v-h."""
-    flat = x.reshape(-1)
+    """fill for the coordinates of the input x: flat coordinate k's copies
+    are row b = k // per_sample of x with that coordinate at v+h and v-h,
+    scored against target row b."""
+    samples = x.reshape(len(x), -1)
 
-    def fill(out: Tensor, k0: int, n: int) -> None:
-        out[...] = x
-        copies, i = out.reshape(n, 2, -1), np.arange(n)
-        copies[i, 0, k0 + i] = flat[k0 : k0 + n] + h
-        copies[i, 1, k0 + i] = flat[k0 : k0 + n] - h
+    def fill(out: Tensor, k0: int, n: int) -> np.ndarray:
+        b, i = np.divmod(np.arange(k0, k0 + n), samples.shape[1])
+        copies = out.reshape(n, 2, -1)
+        copies[...] = samples[b, None]
+        copies[np.arange(n), :, i] = samples[b, i, None] + [h, -h]
+        return np.repeat(b, 2)[:, None]
     return fill
 
 
@@ -194,24 +203,24 @@ def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, shape: tuple[in
                   h: float, fill, activate) -> Tensor:
     """dL/dv by central differences, for v of the given shape: node j's
     weight, or the input when j is the input node. fill(out, k0, n) writes
-    into out, shaped (n, 2, batch, *node j's shape), what activate turns
+    into out, shaped (n, 2, rows, *node j's shape), what activate turns
     into node j's activation with v's flat entries k0..k0+n-1 at v+h
-    (out[i, 0]) and v-h (out[i, 1]); activate maps a whole stack of those
-    at once."""
+    (out[i, 0]) and v-h (out[i, 1]), and returns the index of target's rows
+    the 2n copies are scored against; activate maps a whole stack at once."""
     size = int(np.prod(shape))
     batch = acts[j].shape[0]
-    below, tiled, pairs = _chunk_plan(g, batch, j, size)
-    stack = np.empty((2 * pairs, batch, *g.shapes[j]))
+    below, tiled, rows, pairs = _chunk_plan(g, batch, j, size)
+    stack = np.empty((2 * pairs, rows, *g.shapes[j]))
     grad = np.empty(size)
     for k0 in range(0, size, pairs):
         n = min(pairs, size - k0)
-        fill(stack[: 2 * n].reshape(n, 2, batch, *g.shapes[j]), k0, n)
+        scored = fill(stack[: 2 * n].reshape(n, 2, rows, *g.shapes[j]), k0, n)
         run = list(acts)
         for p in tiled:
             run[p] = np.concatenate([acts[p]] * (2 * n))
-        run[j] = activate(stack[: 2 * n]).reshape(2 * n * batch, *g.shapes[j])
+        run[j] = activate(stack[: 2 * n]).reshape(2 * n * rows, *g.shapes[j])
         for i in below:
             run[i] = g.nodes[i].forward(run, g.parent_ids[i])[0]
-        losses = _stacked_losses(run[g.output], target)
+        losses = _stacked_losses(run[g.output], target[scored], batch)
         grad[k0 : k0 + n] = (losses[0::2] - losses[1::2]) / (2 * h)
     return grad.reshape(shape)

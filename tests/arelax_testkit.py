@@ -267,25 +267,26 @@ def reference_stacked_finite_diff(g, x, target, h=1e-5):
     """oracle.finite_diff written with node j's whole forward per perturbed
     weight entry: each +h/-h copy of node j's activation is built alone by
     node.forward (which recomputes the GEMM input and activates and checks
-    the copy), and the chunk's copies are concatenated. Chunks, tiling and
-    the nodes run below j come from finite_diff's own chunk plan, so it
-    must match this bit for bit."""
+    the copy), and the chunk's copies are concatenated. Input coordinate
+    (b, i)'s copies are sample b's row alone, scored against target row b.
+    Chunks, tiling and the nodes run below j come from finite_diff's own
+    chunk plan, so it must match this bit for bit."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     target = np.ascontiguousarray(target, dtype=np.float64)
     acts = forward(g, x)
 
-    def central(j, v, at):
-        below, tiled, pairs = oracle._chunk_plan(g, acts[j].shape[0], j, v.size)
+    def central(j, v, at, scored):
+        below, tiled, _, pairs = oracle._chunk_plan(g, len(x), j, v.size)
         grad = np.empty(v.size)
         for k0 in range(0, v.size, pairs):
-            copies = []
-            for k in range(k0, min(k0 + pairs, v.size)):
+            copies, ks = [], range(k0, min(k0 + pairs, v.size))
+            for k in ks:
                 orig = v.flat[k]
                 try:
                     v.flat[k] = orig + h
-                    copies.append(at())
+                    copies.append(at(k))
                     v.flat[k] = orig - h
-                    copies.append(at())
+                    copies.append(at(k))
                 finally:
                     v.flat[k] = orig
             run = list(acts)
@@ -294,7 +295,7 @@ def reference_stacked_finite_diff(g, x, target, h=1e-5):
             run[j] = np.concatenate(copies)
             for i in below:
                 run[i] = g.nodes[i].forward(run, g.parent_ids[i])[0]
-            losses = oracle._stacked_losses(run[g.output], target)
+            losses = oracle._stacked_losses(run[g.output], scored(ks), len(x))
             grad[k0 : k0 + len(copies) // 2] = (losses[0::2] - losses[1::2]) / (2 * h)
         return grad.reshape(v.shape)
 
@@ -302,7 +303,8 @@ def reference_stacked_finite_diff(g, x, target, h=1e-5):
     with np.errstate(over="ignore", invalid="ignore"):
         for j in g.parametric_ids():
             node, ps = g.nodes[j], g.parent_ids[j]
-            grads.param[j] = central(j, node.weight, lambda: node.forward(acts, ps)[0])
-        xp = x.copy()
-        grads.node[g.input] = central(g.input, xp, xp.copy)
+            grads.param[j] = central(j, node.weight, lambda k: node.forward(acts, ps)[0], lambda ks: target)
+        xp, per_sample = x.copy(), x[0].size
+        grads.node[g.input] = central(g.input, xp, lambda k: xp[k // per_sample][None].copy(),
+                                      lambda ks: target[[[k // per_sample] for k in ks for _ in range(2)]])
     return grads

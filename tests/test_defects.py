@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from arelax import relaxation
+from arelax import oracle, relaxation
 from arelax.graph import ConvNode, DenseNode, Graph, MaxPoolNode, _Parametric, build, forward
 from arelax.harness import (ExperimentConfig, GradcheckEntry, GradcheckOptions, _check_graph, _fd_entry,
                             random_case, rel_error)
@@ -68,10 +68,11 @@ def worst_entry(check: str, errs: dict, tolerance: float) -> GradcheckEntry:
 def steps_vs_reference():
     """relax_step against the test kit's reference_step, which states the
     variant rules again, over three steps from xbar under each scoped
-    setting."""
+    setting and under unfreeze_relax_deriv alone, which re-evaluates the
+    second conv's f'."""
     g, acts, target = relaxation_case()
     errs = {}
-    for k, cfg in enumerate(SCOPED_CONFIGS):
+    for k, cfg in enumerate([*SCOPED_CONFIGS, ARConfig(unfreeze_relax_deriv=True)]):
         s, ref = relaxation.init_state(g, acts, target, cfg), relaxation.init_state(g, acts, target, cfg)
         for it in range(3):
             relaxation.relax_step(g, s, cfg, iteration=it)
@@ -141,18 +142,27 @@ def pool_vjp_to_window_corner(self, g, saved):
     return [out]
 
 
-def scaled_outer(bare):
-    """outer scaled by 1.01: every weight gradient 1% too large."""
+def scaled_outer(bare, factor=1.01):
+    """outer scaled by factor: every weight gradient too large."""
     def outer(self, gz, saved):
-        return 1.01 * bare(self, gz, saved)
+        return factor * bare(self, gz, saved)
     return outer
 
 
-def scaled_vjp(bare):
-    """vjp scaled by 1.01: every cotangent it passes up 1% too large."""
+def scaled_vjp(bare, factor=1.01):
+    """vjp scaled by factor: every cotangent it passes up too large."""
     def vjp(self, gz, saved, back=None):
-        return [1.01 * c for c in bare(self, gz, saved, back)]
+        return [factor * c for c in bare(self, gz, saved, back)]
     return vjp
+
+
+def input_fill_scoring_sample_0(bare):
+    """finite_diff's input copies, each scored against sample 0's target
+    row instead of its own sample's."""
+    def input_fill(x, h):
+        fill = bare(x, h)
+        return lambda out, k0, n: np.zeros_like(fill(out, k0, n))
+    return input_fill
 
 
 def vjp_without_offset_00(bare):
@@ -214,6 +224,11 @@ MUTANTS = {
     "conv_vjp_x1.01": (ConvNode, "vjp", scaled_vjp(ConvNode.vjp), "oracle_vs_fd"),
     "conv_vjp_drops_offset_00": (ConvNode, "vjp", vjp_without_offset_00(ConvNode.vjp), "oracle_vs_fd"),
     "fprime_identity": (_Parametric, "fprime", lambda self, out: None, "oracle_vs_fd"),
+    # within the old 1e-4 fd_tolerance, so only the tightened one flags them
+    "dense_outer_x(1+1e-6)": (DenseNode, "outer", scaled_outer(DenseNode.outer, 1 + 1e-6), "oracle_vs_fd"),
+    "dense_vjp_x(1+1e-6)": (DenseNode, "vjp", scaled_vjp(DenseNode.vjp, 1 + 1e-6), "oracle_vs_fd"),
+    "fd_input_scored_against_sample_0": (oracle, "_input_fill", input_fill_scoring_sample_0(oracle._input_fill),
+                                         "oracle_vs_fd"),
     "drops_nonlinearity_ignores_scope": (relaxation, "_drops_nonlinearity",
                                          lambda node, cfg: cfg.nonlinearity_mode == "dropped",
                                          "steps_vs_reference"),
@@ -232,6 +247,8 @@ MUTANTS = {
                              "ar_vs_variant_oracle"),
     "unfrozen_fprime_at_sweep": (relaxation, "_scale_by_fprime", fprime_at_sweep(relaxation._scale_by_fprime),
                                  "ar_vs_variant_oracle"),
+    "unfrozen_fprime_at_sweep_in_steps": (relaxation, "_scale_by_fprime",
+                                          fprime_at_sweep(relaxation._scale_by_fprime), "steps_vs_reference"),
     # within 1e-3, so only the tightened gate flags it
     "eps_bar_x(1+1e-5)": (relaxation, "init_state", eps_bar_scaled(relaxation.init_state),
                           "ar_vs_variant_oracle"),

@@ -201,32 +201,43 @@ class TestFiniteDiff:
 
 def reference_finite_diff(g, x, target, h=1e-5, entries=None) -> GradientSet:
     """The per-perturbation loop: one full forward per +h and per -h of each
-    weight entry and input coordinate. entries(size) picks the flat indices
-    to evaluate (all by default); the others stay 0."""
+    weight entry. Input coordinate (b, i) changes only sample b's term of
+    the loss, so it gets one forward of sample b's +h and -h copies, two
+    rows, each scored by its term: its loss against target row b over the
+    batch size. (A one-row forward would take numpy's matrix-vector path,
+    which rounds differently from a stacked GEMM.) entries(size) picks the
+    flat indices to evaluate (all by default); the others stay 0."""
     x = np.array(x, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     pick = entries or range
 
-    def loss_at() -> float:
-        return loss_mse(forward(g, x)[g.output], target)
+    def weight_losses(flat, k) -> list[float]:
+        orig, losses = flat[k], []
+        for step in (h, -h):
+            flat[k] = orig + step
+            losses.append(loss_mse(forward(g, x)[g.output], target))
+        flat[k] = orig
+        return losses
 
-    def central(v):
+    def input_losses(flat, k) -> list[float]:
+        b, i = divmod(k, x[0].size)
+        pair = np.repeat(x[b : b + 1], 2, axis=0)
+        pair.reshape(2, -1)[:, i] += [h, -h]
+        out = forward(g, pair)[g.output]
+        return [loss_mse(out[c : c + 1], target[b : b + 1]) / len(x) for c in (0, 1)]
+
+    def central(v, losses):
         gv = np.zeros_like(v)
         flat, gflat = v.reshape(-1), gv.reshape(-1)
         for k in pick(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            lp = loss_at()
-            flat[k] = orig - h
-            lm = loss_at()
-            flat[k] = orig
+            lp, lm = losses(flat, k)
             gflat[k] = (lp - lm) / (2 * h)
         return gv
 
     grads = GradientSet()
     for j in g.parametric_ids():
-        grads.param[j] = central(g.nodes[j].weight)
-    grads.node[g.input] = central(x)
+        grads.param[j] = central(g.nodes[j].weight, weight_losses)
+    grads.node[g.input] = central(x, input_losses)
     return grads
 
 
@@ -271,8 +282,9 @@ def stacking_case(name: str):
 
 class TestStackedFiniteDiff:
     """finite_diff stacks the perturbations; the reference runs one forward
-    per perturbation, and both compute the same losses. The chunks here keep
-    every stack at 14 copies or fewer: BLAS may round a much taller GEMM
+    per perturbation (per input coordinate, one of its sample's two copies),
+    and both compute the same losses. The chunks here keep every weight
+    stack at 14 copies or fewer: BLAS may round a much taller GEMM
     differently in the last bit, which the 1/2h quotient magnifies to about
     1e-10."""
 
@@ -286,21 +298,28 @@ class TestStackedFiniteDiff:
         # alone) go 7 pairs to a chunk, which leaves a shorter last chunk.
         n_out, width = g.nodes[g.output].weight.size, g.shapes[g.output][0]
         assert n_out % 7
-        monkeypatch.setattr(oracle, "FD_CHUNK_BYTES", max(1, pairs * 2 * 8 * batch * width))
+        chunk_bytes = max(1, pairs * 2 * 8 * batch * width)
+        monkeypatch.setattr(oracle, "FD_CHUNK_BYTES", chunk_bytes)
         heights = []
 
-        def spy(out, target, bare=oracle._stacked_losses):
+        def spy(out, target, batch, bare=oracle._stacked_losses):
             heights.append(out.shape[0])
-            return bare(out, target)
+            return bare(out, target, batch)
         monkeypatch.setattr(oracle, "_stacked_losses", spy)
 
         ref = reference_finite_diff(g, x, t, entries=entries)
         heights.clear()
         fd = finite_diff(g, x, t)
+        # the input's chunks come last: one-row copies of one sample each,
+        # which run every node
+        in_pairs = max(1, min(chunk_bytes // (2 * 8 * sum(int(np.prod(s)) for s in g.shapes)), x.size))
+        in_chunks = -(-x.size // in_pairs)
+        weights, inputs = heights[:-in_chunks], heights[-in_chunks:]
         if pairs:
-            assert {2 * pairs * batch, 2 * (n_out % pairs) * batch} <= set(heights)
+            assert {2 * pairs * batch, 2 * (n_out % pairs) * batch} <= set(weights)
         else:
-            assert set(heights) == {2 * batch}
+            assert set(weights) == {2 * batch} and in_pairs == 1
+        assert inputs == [2 * min(in_pairs, x.size - k0) for k0 in range(0, x.size, in_pairs)]
 
         pick = entries or (lambda n: slice(None))
         for j in ref.param:
@@ -383,8 +402,9 @@ def assert_same_gradients(got: GradientSet, want: GradientSet) -> None:
 class TestPerEntryGemm:
     """finite_diff evaluates a whole weight column per GEMM of node j and
     activates each chunk's stack once; the reference runs node j's whole
-    forward per perturbed entry. Row o of the weight feeds only channel o,
-    so the arithmetic is the same and the results are bit-identical."""
+    forward per perturbed entry, and builds each input copy from its own
+    sample's row. Row o of the weight feeds only channel o, so the
+    arithmetic is the same and the results are bit-identical."""
 
     def test_matches_per_entry_forward_on_the_gradcheck_suite(self, monkeypatch):
         calls = []
@@ -434,7 +454,8 @@ class TestPerEntryGemm:
         j's linear (with out=) exactly twice per weight column and once more
         without, every chunk of j calls j's activation once and j's forward
         never, each parametric node below j runs once per chunk, and the
-        chunks of j cover each of its entries once."""
+        chunks of j cover each of its entries once, with the whole batch
+        per weight entry's copy and one row per input coordinate's."""
         rng = Rng(38)
         g = build(ALL_KINDS_SPEC, rng)
         x, t = random_case(g, rng, 2)
@@ -447,9 +468,10 @@ class TestPerEntryGemm:
                     return _bare(*args, **kwargs)
                 monkeypatch.setattr(g.nodes[j], name, spy)
 
-        def losses(out, target, bare=oracle._stacked_losses):
-            log.append(("losses", out.shape[0] // (2 * len(target))))
-            return bare(out, target)
+        def losses(out, target, batch, bare=oracle._stacked_losses):
+            got = bare(out, target, batch)
+            log.append(("losses", len(got) // 2, out.shape[0] // len(got)))
+            return got
         monkeypatch.setattr(oracle, "_stacked_losses", losses)
         finite_diff(g, x, t)
 
@@ -459,7 +481,7 @@ class TestPerEntryGemm:
         chunks, chunk = [], []
         for event in log[len(sweep):]:
             if event[0] == "losses":
-                chunks.append((chunk, event[1]))
+                chunks.append((chunk, *event[1:]))
                 chunk = []
             else:
                 chunk.append(event)
@@ -468,7 +490,8 @@ class TestPerEntryGemm:
         for j, size in [(j, g.nodes[j].weight.size) for j in params] + [(g.input, x.size)]:
             below, covered = set(g.below([j])), 0
             while covered < size:
-                chunk, n = next(chunks)
+                chunk, n, rows = next(chunks)
+                assert rows == (1 if j == g.input else len(x)), j
                 for i in params:
                     want = [("forward", i), ("linear", i), ("_activate", i)] if i in below else []
                     if i == j:
