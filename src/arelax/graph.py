@@ -40,8 +40,8 @@ NonFiniteError.
 
 A conv node saves its input's im2col columns, which are stored
 channel-major as one (C_in*kH*kW, B*H'*W') buffer (tensor.im2col), so its
-forward, vjp and outer are each plain 2-D GEMMs over the B*H'*W' columns;
-ConvNode says how.
+forward and outer are each one plain 2-D GEMM over the B*H'*W' columns,
+and its vjp one GEMM per kernel row; ConvNode says how.
 """
 
 from __future__ import annotations
@@ -118,11 +118,14 @@ class ConvNode(_Parametric):
     saved is the input's im2col columns, a (B, K, P) view of a
     channel-major (K, B*P) buffer, K = C_in*kH*kW and P = H'*W'. forward is
     one (C_out, K) @ (K, B*P) GEMM; outer one (C_out, B*P) @ (B*P, K) GEMM,
-    whose inner sum runs over batch and position together; vjp one
-    (C_in, C_out) @ (C_out, B*P) GEMM per kernel offset, added into the
-    (C_in, B, H, W) input-gradient window that offset covers and transposed
-    once at the end, so no patch-column gradient is built and no col2im
-    scatter runs. out_hw is (H', W'), which P alone does not give.
+    whose inner sum runs over batch and position together. vjp lays the
+    cotangent out batch-innermost, (C_out, P*B), and runs one
+    (kW*C_in, C_out) @ (C_out, P*B) GEMM per kernel row u; each of its kW
+    slices is added into the window that offset (u, v) covers in a
+    (C_in, H, W, B) input gradient, whose window rows are contiguous runs
+    of W'*B values, and the gradient is transposed once at the end. No
+    patch-column gradient is built and no col2im scatter runs. out_hw is
+    (H', W'), which P alone does not give.
     """
 
     out_hw: tuple[int, int]
@@ -140,17 +143,17 @@ class ConvNode(_Parametric):
     def vjp(self, gz: Tensor, saved: Tensor, back: Tensor | None = None) -> list[Tensor]:
         co, ci, kh, kw = self.weight.shape
         b, _, hp, wp = gz.shape
-        # k[u, v] is the (ci, co) back matrix of kernel offset (u, v); the
-        # offsets are added in col2im's order
-        k = (self.weight if back is None else back).transpose(2, 3, 1, 0).copy()
-        gzc = gz.transpose(1, 0, 2, 3).reshape(co, -1)
-        part = np.empty((ci, gzc.shape[1]))
-        out = np.zeros((ci, b, hp + kh - 1, wp + kw - 1))
+        # k[u] is the (kw*ci, co) back matrix of kernel row u, rows ordered
+        # (v, ci); the offsets are added in col2im's order
+        k = (self.weight if back is None else back).transpose(2, 3, 1, 0).reshape(kh, kw * ci, co)
+        gzc = np.ascontiguousarray(gz.transpose(1, 2, 3, 0)).reshape(co, -1)
+        part = np.empty((kw, ci, hp, wp, b))
+        out = np.zeros((ci, hp + kh - 1, wp + kw - 1, b))
         for u in range(kh):
+            np.matmul(k[u], gzc, out=part.reshape(kw * ci, -1))
             for v in range(kw):
-                np.matmul(k[u, v], gzc, out=part)
-                out[:, :, u : u + hp, v : v + wp] += part.reshape(ci, b, hp, wp)
-        return [np.ascontiguousarray(out.transpose(1, 0, 2, 3))]
+                out[:, u : u + hp, v : v + wp] += part[v]
+        return [np.ascontiguousarray(out.transpose(3, 0, 1, 2))]
 
     def outer(self, gz: Tensor, saved: Tensor) -> Tensor:
         # one (co, B*P) @ (B*P, K) GEMM: the batch sum is inside the product

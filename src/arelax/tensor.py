@@ -14,11 +14,12 @@ Conventions baked in here:
     channel-major: they view one C-contiguous (C*kh*kw, B*H'*W') buffer,
     which col_matrix returns without a copy, so conv2d_cols and the conv
     node's outer product are single 2-D GEMMs.
-  * The library does not call col2im: the conv node's VJP adds one GEMM per
-    kernel offset into the input gradient instead. col2im stays as the
-    written-out reference of that transport, which the conv VJP test and
-    the benchmark's per-node kernel cases (perfbench/kernels.py) use, until
-    those cases are rebuilt from the node kinds' own kernels.
+  * The library does not call col2im: the conv node's VJP adds the kW
+    slices of one GEMM per kernel row into the input gradient instead.
+    col2im stays as the written-out reference of that transport, which the
+    conv VJP test and the benchmark's per-node kernel cases
+    (perfbench/kernels.py) use, until those cases are rebuilt from the node
+    kinds' own kernels.
   * conv2d is cross-correlation (no kernel flip), stride 1, valid padding.
   * maxpool2d is a fixed 2x2 window with stride 2; ties go to the lowest
     flat index inside the window. It reads the four window corners as

@@ -174,6 +174,22 @@ def vjp_without_offset_00(bare):
     return vjp
 
 
+def vjp_samples_reversed(bare):
+    """The conv vjp with its output samples in reverse order, as a wrong
+    axis order out of the batch-innermost gradient would give."""
+    def vjp(self, gz, saved, back=None):
+        return [c[::-1] for c in bare(self, gz, saved, back)]
+    return vjp
+
+
+def vjp_kernel_rows_flipped(bare):
+    """The conv vjp with the kernel rows of its back matrix in reverse
+    order, as a wrong row index into the per-row back matrices would give."""
+    def vjp(self, gz, saved, back=None):
+        return bare(self, gz, saved, (self.weight if back is None else back)[:, :, ::-1])
+    return vjp
+
+
 def scale_keeping_dropped_fprime(bare):
     """_scale_by_fprime applying f' where the config drops it."""
     def scale(g, s, cfg, j, v, unfrozen):
@@ -205,6 +221,12 @@ def cascade_one_step_more(bare):
     return lambda steps, depth, eta: bare(steps + 1, depth, eta)
 
 
+def cascade_one_level_short(bare):
+    """_cascade_coefficients for one level fewer than the live sets reach:
+    the Horner sweeps pruned one level short."""
+    return lambda steps, depth, eta: bare(steps, max(depth - 1, 0), eta)
+
+
 def step_keeping_outers(bare):
     """relax_step leaving s.outers as it found it instead of emptying it."""
     def relax_step(g, s, cfg, **kw):
@@ -215,7 +237,11 @@ def step_keeping_outers(bare):
     return relax_step
 
 
-# name: (class or module, attribute, replacement, the check that flags it)
+# name: (class or module, attribute, replacement, the check that flags it).
+# No check here flags a conv mirror that transposes (the engine and the
+# variant oracle read psi through the same mirror), an outer-product cache
+# keyed on the node id alone, or a default read set without the parents
+# under unfreeze_weight_activity, so they have no row.
 MUTANTS = {
     "maxpool_vjp_to_window_corner": (MaxPoolNode, "vjp", pool_vjp_to_window_corner, "oracle_vs_fd"),
     "dense_outer_x1.01": (DenseNode, "outer", scaled_outer(DenseNode.outer), "oracle_vs_fd"),
@@ -223,6 +249,8 @@ MUTANTS = {
     "conv_outer_x1.01": (ConvNode, "outer", scaled_outer(ConvNode.outer), "oracle_vs_fd"),
     "conv_vjp_x1.01": (ConvNode, "vjp", scaled_vjp(ConvNode.vjp), "oracle_vs_fd"),
     "conv_vjp_drops_offset_00": (ConvNode, "vjp", vjp_without_offset_00(ConvNode.vjp), "oracle_vs_fd"),
+    "conv_vjp_samples_reversed": (ConvNode, "vjp", vjp_samples_reversed(ConvNode.vjp), "oracle_vs_fd"),
+    "conv_vjp_kernel_rows_flipped": (ConvNode, "vjp", vjp_kernel_rows_flipped(ConvNode.vjp), "oracle_vs_fd"),
     "fprime_identity": (_Parametric, "fprime", lambda self, out: None, "oracle_vs_fd"),
     # within the old 1e-4 fd_tolerance, so only the tightened one flags them
     "dense_outer_x(1+1e-6)": (DenseNode, "outer", scaled_outer(DenseNode.outer, 1 + 1e-6), "oracle_vs_fd"),
@@ -239,6 +267,8 @@ MUTANTS = {
                                              "steps_vs_reference"),
     "cascade_one_step_more": (relaxation, "_cascade_coefficients",
                               cascade_one_step_more(relaxation._cascade_coefficients), "closed_form_vs_steps"),
+    "cascade_one_level_short": (relaxation, "_cascade_coefficients",
+                                cascade_one_level_short(relaxation._cascade_coefficients), "closed_form_vs_steps"),
     "relax_step_keeps_outers": (relaxation, "relax_step", step_keeping_outers(relaxation.relax_step),
                                 "updates_vs_fresh_state"),
     # run_relaxation's unfrozen steps before the last reach the read set alone

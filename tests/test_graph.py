@@ -8,7 +8,7 @@ from arelax.graph import AddNode, GraphError, build, forward
 from arelax.harness import skip_dag_spec
 from arelax.tensor import NonFiniteError, Rng, ShapeError
 
-from arelax_testkit import scalar_chain
+from arelax_testkit import ADD_FROM_INPUT_SPEC, CONV_POOL_SPEC, TWO_CONV_POOL_SPEC, scalar_chain
 
 
 class TestBuild:
@@ -294,7 +294,9 @@ class TestConvOuter:
 
 def _conv_vjp_cases():
     """(batch, ci, co, (h, w), (kh, kw)): B=1, ci=1, non-square kernels and
-    kernels the size of the input, then seeded random shapes."""
+    kernels the size of the input, seeded random shapes, then cnn's two
+    convs at a small batch, whose per-row back matrices are 15 and 160 rows
+    tall."""
     cases = [(1, 1, 1, (5, 5), (3, 3)), (1, 3, 4, (7, 9), (2, 4)), (4, 1, 5, (8, 6), (5, 1)),
              (2, 2, 3, (6, 4), (6, 4)), (3, 1, 2, (1, 7), (1, 7))]
     rng = Rng(6)
@@ -302,7 +304,7 @@ def _conv_vjp_cases():
         h, w = rng.integers(1, 12), rng.integers(1, 12)
         cases.append((rng.integers(1, 7), rng.integers(1, 5), rng.integers(1, 7), (h, w),
                       (rng.integers(1, h + 1), rng.integers(1, w + 1))))
-    return cases
+    return cases + [(2, 3, 32, (32, 32), (5, 5)), (2, 32, 64, (14, 14), (5, 5))]
 
 
 class TestConvVjp:
@@ -335,3 +337,30 @@ class TestConvVjp:
         forward_side = np.vdot(tensor.conv2d(x, k), gz)
         [vx] = node.vjp(gz, saved, None if back is None else k)
         assert abs(forward_side - np.vdot(x, vx)) <= 1e-12 * abs(forward_side)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("spec", [CONV_POOL_SPEC, TWO_CONV_POOL_SPEC, ADD_FROM_INPUT_SPEC],
+                         ids=["conv_pool", "two_conv_pool", "add_from_input"])
+def test_vjp_and_outer_leave_their_arguments_unchanged(spec, batch):
+    """Every node kind's vjp, with and without a back matrix, and the dense
+    and conv outer write into none of their arguments: init_state starts the
+    relaxing activities as the sweep's own arrays, and no sweep may change
+    them. At B=1 the conv VJP's batch-innermost cotangent is a view of gz."""
+    rng = Rng(7)
+    g = build(spec, rng)
+    acts = forward(g, rng.normal((batch, *g.shapes[g.input])))
+    for j in g.topo_order:
+        if j == g.input:
+            continue
+        node, gz, saved = g.nodes[j], rng.normal(acts[j].shape), acts.saved[j]
+        parametric = isinstance(node, graph.PARAMETRIC)
+        back = node.mirror(node.psi) if parametric else None
+        args = [a for a in (gz, saved, back, getattr(node, "weight", None)) if a is not None]
+        before = [a.copy() for a in args]
+        node.vjp(gz, saved)
+        if parametric:
+            node.vjp(gz, saved, back)
+            node.outer(gz, saved)
+        for a, want in zip(args, before):
+            assert np.array_equal(a, want), (j, type(node).__name__)
