@@ -72,7 +72,11 @@ class DivergenceError(RuntimeError):
     counting children first (reverse topological order). run_relaxation
     guards only the nodes it relaxes, and on its closed-form path (frozen
     relaxation derivatives) only the final state, so `iteration` is always
-    n_iters - 1 there, and a transient overshoot is not reported.
+    n_iters - 1 there, and a transient overshoot is not reported. On its
+    unfrozen path a node it relaxes in its dense child's width (_InputFed)
+    is likewise guarded only in the last step, like the closed form's
+    pruned terms; before that, its overflow shows as a non-finite forward
+    in the child's f', a DivergenceError at the child.
     """
 
     def __init__(self, node: int, iteration: int, detail: str = ""):
@@ -345,6 +349,46 @@ def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int, rea
         _sweep(g, s, cfg, lives[k], horner, send=k < top, iteration=steps)
 
 
+class _InputFed:
+    """A node p that the unfrozen engine relaxes before its last step, whose
+    parents are all the input and whose only child c is dense. p sends
+    nothing, and until the last step only c's transport into p and c's
+    unfrozen f', at z = x_p W_c^T, read x_p. With `back` c's back matrix (W_c,
+    or mirror(psi_c) under learned psi), x_p(t) = (1 - eta_x)^t xbar_p +
+    u_t back, so p relaxes in c's width, from u = 0 and z = xbar_p W_c^T:
+
+        v = f'(z) * x_c,  u <- (1 - eta_x) u + eta_x v,  z <- (1 - eta_x) z + eta_x v G,
+
+    with G = back W_c^T and v from the pre-step z and x_c. Where c has no f'
+    (linear, or f' dropped) v is x_c and z is not kept."""
+
+    def __init__(self, g: Graph, s: RelaxState, cfg: ARConfig, p: int):
+        self.p, self.c = p, g.children[p][0]
+        self.node = node = g.nodes[self.c]
+        self.back = node.mirror(node.psi) if _uses_psi(node, cfg) else node.weight
+        self.u = np.zeros_like(s.xbar[self.c])
+        unfrozen = self.c in s.fprime_bar and not _drops_nonlinearity(node, cfg)
+        self.z = node.linear(s.xbar[p]) if unfrozen else None
+        self.gram = self.back @ node.weight.T if unfrozen else None
+
+    def advance(self, x_c: Tensor, eta: float, t: int) -> None:
+        """Step t from the pre-step x_c; a non-finite z is a DivergenceError
+        at c and t, with the forward's message, as in relax_step."""
+        v = x_c
+        if self.z is not None:
+            try:
+                v = self.node.fprime(self.node._activate(self.z)) * x_c
+            except NonFiniteError as exc:
+                raise DivergenceError(self.c, t, str(exc)) from exc
+            self.z = (1.0 - eta) * self.z + eta * (v @ self.gram)
+        self.u = (1.0 - eta) * self.u + eta * v
+
+    def rebuild(self, s: RelaxState, steps: int, eta: float) -> None:
+        """Set x_p to its activity after `steps` steps, with one GEMM."""
+        s.x[self.p] = (1.0 - eta) ** steps * s.xbar[self.p] + self.u @ self.back
+        s.outers.clear()
+
+
 def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -> RelaxState:
     """Relax the activities for n_iters steps from x(0) = xbar and return
     the state at the nodes in `read`, the node ids whose final activity the
@@ -372,6 +416,12 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -
     Engine selection. With unfreeze_relax_deriv the step is nonlinear and
     relax_step, the reference engine, runs n_iters times, over `read` and
     the nodes below it (Graph.below) but on the last step, over `read`.
+    A node of that set whose parents are all the input and whose only
+    child is dense sends nothing, so on the first n_iters - 1 steps it is
+    relaxed in its child's width instead (_InputFed; on mlp4, flatten in
+    300 columns instead of 784), and its activity is rebuilt with one GEMM
+    before the last step. Only its own activity moves, by rounding; every
+    other node's stays bit-identical to every-node steps.
     Otherwise the state after S = n_iters - 1 steps is computed in closed
     form,
 
@@ -395,8 +445,16 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -
     last = cfg.n_iters - 1
     if cfg.unfreeze_relax_deriv:
         reach = read.union(g.below(read))
+        tracked = [_InputFed(g, s, cfg, p) for p in reach if set(g.parent_ids[p]) == {g.input}
+                   and len(g.children[p]) == 1 and isinstance(g.nodes[g.children[p][0]], DenseNode)]
+        live = reach.difference(tr.p for tr in tracked)
         for t in range(last):
-            relax_step(g, s, cfg, iteration=t, read=reach)
+            pre_step = [s.x[tr.c] for tr in tracked]
+            relax_step(g, s, cfg, iteration=t, read=live)
+            for tr, x_c in zip(tracked, pre_step):
+                tr.advance(x_c, cfg.eta_x, t)
+        for tr in tracked:
+            tr.rebuild(s, last, cfg.eta_x)
     else:
         _closed_form_advance(g, s, cfg, last, read)
     relax_step(g, s, cfg, iteration=last, read=read)

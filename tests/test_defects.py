@@ -13,11 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from arelax import oracle, relaxation
+from arelax import oracle, relaxation, tensor
 from arelax.graph import ConvNode, DenseNode, Graph, MaxPoolNode, _Parametric, build, forward
 from arelax.harness import (ExperimentConfig, GradcheckEntry, GradcheckOptions, _check_graph, _fd_entry,
                             random_case, rel_error)
-from arelax.models import ModelSpec
+from arelax.models import ModelSpec, reduced_spec
 from arelax.oracle import backprop
 from arelax.relaxation import ARConfig
 from arelax.tensor import Rng
@@ -59,10 +59,10 @@ def ar_vs_variant_oracle():
     return max((e for e in entries if e.check == "ar_vs_oracle"), key=lambda e: e.error)
 
 
-def worst_entry(check: str, errs: dict, tolerance: float) -> GradcheckEntry:
+def worst_entry(check: str, errs: dict, tolerance: float, label: str = "two_conv_pool") -> GradcheckEntry:
     """The entry for the worst of errs, keyed by (setting, node)."""
     worst = max(errs, key=errs.get)
-    return GradcheckEntry("two_conv_pool", check, errs[worst], tolerance, worst[1])
+    return GradcheckEntry(label, check, errs[worst], tolerance, worst[1])
 
 
 def steps_vs_reference():
@@ -129,8 +129,93 @@ def updates_vs_fresh_state():
     return worst_entry("updates_vs_fresh_state", errs, 0.0)
 
 
+def tracked_vs_steps():
+    """run_relaxation on reduced mlp4, whose flatten node is fed by the input
+    alone and feeds one dense node, so that the unfrozen engine relaxes it
+    in that node's width, against relax_step taken T times over every node,
+    under unfrozen relax and weight f', plain and with dense-scoped learned
+    psi."""
+    rng = Rng(43)
+    g = build(reduced_spec(ModelSpec("mlp4")), rng)
+    x, target = random_case(g, rng, 2)
+    acts = forward(g, x)
+    errs = {}
+    for k, extra in enumerate([{}, {"backwards_mode": "learned_psi", "backwards_scope": "dense"}]):
+        cfg = ARConfig(n_iters=20, unfreeze_relax_deriv=True, unfreeze_weight_deriv=True, **extra)
+        got = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
+        want = relaxation.init_state(g, acts, target, cfg)
+        for it in range(cfg.n_iters):
+            relaxation.relax_step(g, want, cfg, iteration=it)
+        errs.update({(k, i): rel_error(got.x[i], want.x[i]) for i in range(len(g.nodes))})
+    return worst_entry("tracked_vs_steps", errs, 1e-12, label="mlp4_reduced")
+
+
+# conv -> conv -> flatten -> dense, with as many channels as kernel rows and
+# columns, so that a conv mirror that transposes keeps psi's shape
+SQUARE_CONV_SPEC = [
+    {"kind": "input", "shape": (3, 6, 6)},
+    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
+    {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 2, "activation": "linear"},
+]
+
+
+def psi_transport_vs_col2im():
+    """One relax_step from xbar under conv-scoped learned psi, at the first
+    conv, against the second conv's transport into it written out from psi
+    itself, in W's layout, not through ConvNode.mirror: every patch column's
+    gradient, scattered back by tensor.col2im."""
+    rng = Rng(44)
+    g = build(SQUARE_CONV_SPEC, rng)
+    x, target = random_case(g, rng, 2)
+    acts = forward(g, x)
+    cfg = ARConfig(backwards_mode="learned_psi", backwards_scope="conv")
+    s = relaxation.init_state(g, acts, target, cfg)
+    relaxation.relax_step(g, s, cfg, read={1})
+    psi, gz = g.nodes[2].psi, s.fprime_bar[2] * acts[2]
+    cols_grad = np.matmul(psi.reshape(3, -1).T[None], gz.reshape(2, 3, -1))
+    sent = tensor.col2im(cols_grad, 3, 3, 3, 4, 4)
+    want = acts[1] + cfg.eta_x * (sent - acts[1])
+    return worst_entry("psi_transport_vs_col2im", {(0, 1): rel_error(s.x[1], want)}, 1e-12,
+                       label="square_conv")
+
+
+def updates_under_two_settings():
+    """Under learned psi, the weight and psi updates of one relaxed state
+    under unfreeze_weight_deriv, computed after the baseline's weight update
+    on the same state, against those of the state before any update."""
+    g, acts, target = relaxation_case()
+    cfg = ARConfig(n_iters=20, backwards_mode="learned_psi")
+    s = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
+    fresh = replace(s, outers={})
+    relaxation.weight_update(g, s, cfg)
+    unfrozen = replace(cfg, unfreeze_weight_deriv=True)
+    errs = {}
+    for k, update in enumerate([relaxation.weight_update, relaxation.psi_update]):
+        got, want = update(g, s, unfrozen), update(g, fresh, unfrozen)
+        errs.update({(k, j): rel_error(got[j], want[j]) for j in want})
+    return worst_entry("updates_under_two_settings", errs, 0.0)
+
+
+def default_read_vs_every_node():
+    """run_relaxation under unfreeze_weight_activity with its default read
+    set, against every node read, at the nodes the weight update reads: the
+    parametric nodes and their parents. An activity the default run left
+    out (None) is an infinite error."""
+    g, acts, target = relaxation_case()
+    cfg = ARConfig(n_iters=20, unfreeze_weight_activity=True)
+    got = relaxation.run_relaxation(g, acts, target, cfg)
+    want = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
+    read = {i for j in g.parametric_ids() for i in (j, *g.parent_ids[j])}
+    errs = {(0, i): np.inf if got.x[i] is None else rel_error(got.x[i], want.x[i]) for i in read}
+    return worst_entry("default_read_vs_every_node", errs, 0.0)
+
+
 CHECKS = {f.__name__: f for f in (oracle_vs_fd, steps_vs_reference, closed_form_vs_steps,
-                                  unfrozen_vs_steps, updates_vs_fresh_state, ar_vs_variant_oracle)}
+                                  unfrozen_vs_steps, updates_vs_fresh_state, ar_vs_variant_oracle,
+                                  tracked_vs_steps, psi_transport_vs_col2im, updates_under_two_settings,
+                                  default_read_vs_every_node)}
 
 
 def pool_vjp_to_window_corner(self, g, saved):
@@ -237,11 +322,46 @@ def step_keeping_outers(bare):
     return relax_step
 
 
-# name: (class or module, attribute, replacement, the check that flags it).
-# No check here flags a conv mirror that transposes (the engine and the
-# variant oracle read psi through the same mirror), an outer-product cache
-# keyed on the node id alone, or a default read set without the parents
-# under unfreeze_weight_activity, so they have no row.
+def gram_from_weight(bare):
+    """_InputFed with G = W W^T, as if the child transported through W, where
+    learned psi gives it another back matrix."""
+    def init(self, g, s, cfg, p):
+        bare(self, g, s, cfg, p)
+        if self.gram is not None:
+            self.gram = self.node.weight @ self.node.weight.T
+    return init
+
+
+def rebuild_one_decay_short(bare):
+    """_InputFed.rebuild with xbar's share decayed one step too few."""
+    return lambda self, s, steps, eta: bare(self, s, steps - 1, eta)
+
+
+def advance_keeping_z(bare):
+    """_InputFed.advance that never moves z, so f' stays at the sweep's."""
+    def advance(self, x_c, eta, t):
+        z = self.z
+        bare(self, x_c, eta, t)
+        self.z = z
+    return advance
+
+
+def outer_keyed_on_node_id(bare):
+    """_update_outer returning any product cached for node j, whatever
+    weight-side settings it was computed under."""
+    def update_outer(g, s, cfg, j):
+        cached = [out for key, out in s.outers.items() if key[0] == j]
+        return cached[0] if cached else bare(g, s, cfg, j)
+    return update_outer
+
+
+def read_set_without_parents(g, cfg, read):
+    """_read_set whose default is the parametric nodes alone, whatever the
+    weight-side settings re-read."""
+    return set(g.parametric_ids() if read is None else read) - {g.input}
+
+
+# name: (class or module, attribute, replacement, the check that flags it)
 MUTANTS = {
     "maxpool_vjp_to_window_corner": (MaxPoolNode, "vjp", pool_vjp_to_window_corner, "oracle_vs_fd"),
     "dense_outer_x1.01": (DenseNode, "outer", scaled_outer(DenseNode.outer), "oracle_vs_fd"),
@@ -282,6 +402,22 @@ MUTANTS = {
     # within 1e-3, so only the tightened gate flags it
     "eps_bar_x(1+1e-5)": (relaxation, "init_state", eps_bar_scaled(relaxation.init_state),
                           "ar_vs_variant_oracle"),
+    "tracked_gram_from_weight": (relaxation._InputFed, "__init__", gram_from_weight(relaxation._InputFed.__init__),
+                                 "tracked_vs_steps"),
+    "tracked_rebuild_one_decay_short": (relaxation._InputFed, "rebuild",
+                                        rebuild_one_decay_short(relaxation._InputFed.rebuild), "tracked_vs_steps"),
+    "tracked_z_never_advanced": (relaxation._InputFed, "advance", advance_keeping_z(relaxation._InputFed.advance),
+                                 "tracked_vs_steps"),
+    # the engine and the variant oracle read psi through the same mirror
+    "conv_mirror_swaps_channels": (ConvNode, "mirror", staticmethod(lambda m: m.transpose(1, 0, 2, 3)),
+                                   "psi_transport_vs_col2im"),
+    "conv_mirror_swaps_spatial_axes": (ConvNode, "mirror", staticmethod(lambda m: m.transpose(0, 1, 3, 2)),
+                                       "psi_transport_vs_col2im"),
+    "conv_mirror_reverses_all_axes": (ConvNode, "mirror", staticmethod(lambda m: m.transpose(3, 2, 1, 0)),
+                                      "psi_transport_vs_col2im"),
+    "outer_cache_keyed_on_node_id": (relaxation, "_update_outer", outer_keyed_on_node_id(relaxation._update_outer),
+                                     "updates_under_two_settings"),
+    "read_set_without_parents": (relaxation, "_read_set", read_set_without_parents, "default_read_vs_every_node"),
 }
 
 

@@ -498,7 +498,7 @@ class TestReadSet:
         ("mlp4", "weight_deriv", [0, 0, 2, 3, 4, 5]),   # f' of dense 2 reads flatten
         ("mlp4", "weight_activity", [0, 0, 2, 3, 4, 5]),
         ("mlp4", "relax_deriv", [0, 0, 0, 5, 5, 5]),     # nothing reads flatten
-        ("mlp4", "relax_and_weight_deriv", [0, 0, 5, 5, 5, 5]),
+        ("mlp4", "relax_and_weight_deriv", [0, 0, 1, 5, 5, 5]),   # flatten relaxes in dense 2's width
         ("cnn", "baseline", [0, 0, 2, 2, 4, 4, 6]),     # the last step skips conv2 and dense 5
         ("cnn", "learned_psi", [0, 0, 2, 2, 4, 4, 6]),
         ("cnn", "weight_deriv", [0, 0, 2, 3, 4, 5, 6]),
@@ -567,6 +567,84 @@ class TestReadSet:
             assert dg.keys() == dw.keys()
             for j in dw:
                 np.testing.assert_array_equal(dg[j], dw[j])
+
+
+# unfrozen settings under which run_relaxation relaxes an input-fed node in
+# its dense child's width; each reads that node by default
+INPUT_FED_VARIANTS = {
+    "weight_deriv": {"unfreeze_weight_deriv": True},
+    "weight_activity": {"unfreeze_weight_activity": True},
+    "dense_psi": {"unfreeze_weight_deriv": True, "backwards_mode": "learned_psi", "backwards_scope": "dense"},
+    "dropped_fprime": {"unfreeze_weight_deriv": True, "nonlinearity_mode": "dropped"},
+}
+
+
+def input_fed_case(name):
+    """A graph whose node 1 is fed by the input alone and feeds one dense
+    node: full-width mlp4 at B=2 (flatten, 784 wide, into 300), reduced mlp4
+    (flatten), or a GRAPHS chain (a dense node; chain_b's child is its
+    linear head, which has no f')."""
+    if name == "mlp4":
+        rng = Rng(91)
+        g = models.build_model(models.ModelSpec("mlp4"), rng)
+        return (g, *random_case(g, rng, 2))
+    if name == "mlp4_reduced":
+        return spec_case(models.reduced_spec(models.ModelSpec("mlp4")), 92, 4)
+    return GRAPHS[name]()
+
+
+class TestInputFedNode:
+    """Under unfreeze_relax_deriv a node fed by the input alone, whose only
+    child c is dense, relaxes in c's width until the last step
+    (relaxation._InputFed), so c's transport into it runs in the last step
+    only."""
+
+    @pytest.mark.parametrize("variant", sorted(INPUT_FED_VARIANTS))
+    @pytest.mark.parametrize("graph", ["mlp4", "mlp4_reduced", "chain_a", "chain_b"])
+    def test_matches_step_by_step(self, monkeypatch, graph, variant):
+        g, x, t = input_fed_case(graph)
+        acts = forward(g, x)
+        c, = g.children[1]
+        for n_iters in [20] if graph == "mlp4" else [1, 2, 20, 100]:
+            cfg = ARConfig(n_iters=n_iters, unfreeze_relax_deriv=True, **INPUT_FED_VARIANTS[variant])
+            assert_engines_agree(g, acts, t, cfg)
+            want = step_by_step(g, acts, t, cfg)
+            for read in (None, range(len(g.nodes))):
+                calls = []
+                with monkeypatch.context() as m:
+                    m.setattr(g.nodes[c], "vjp", lambda *a, _vjp=g.nodes[c].vjp: calls.append(1) or _vjp(*a))
+                    got = run_relaxation(g, acts, t, cfg, read=read)
+                assert len(calls) == 1
+                assert rel_error(got.x[1], want.x[1]) <= 1e-12
+                # the other nodes never read node 1's activity before the last step
+                for i in set(range(len(g.nodes))) - {1}:
+                    if got.x[i] is not None:
+                        np.testing.assert_array_equal(got.x[i], want.x[i])
+
+    def test_overflowing_tracked_z_is_a_divergence(self):
+        # dense-scoped learned psi of 1e308 sends node 2's first step into
+        # node 1 as about 1e308: z = x_1 W_2^T overflows after step 0, and
+        # node 2's f' at step 1 raises. The step-by-step engine guards
+        # node 1 at every step instead, so it stops at step 0.
+        g = build([
+            {"kind": "input", "shape": (1,)},
+            {"kind": "dense", "units": 1, "activation": "linear", "weight": [[1.0]], "psi": [[1.0]]},
+            {"kind": "dense", "units": 10, "activation": "tanh", "weight": np.ones((10, 1)),
+             "psi": np.full((1, 10), 1e308)},
+            {"kind": "dense", "units": 1, "activation": "linear", "weight": np.ones((1, 10)),
+             "psi": np.ones((10, 1))},
+        ])
+        acts = forward(g, [[0.5]])
+        cfg = ARConfig(n_iters=10, unfreeze_relax_deriv=True, backwards_mode="learned_psi",
+                       backwards_scope="dense")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                run_relaxation(g, acts, [[0.0]], cfg)
+            assert (exc.value.node, exc.value.iteration) == (2, 1)
+            assert "DenseNode forward" in str(exc.value)
+            with pytest.raises(DivergenceError) as exc:
+                step_by_step(g, acts, [[0.0]], cfg)
+            assert (exc.value.node, exc.value.iteration) == (1, 0)
 
 
 def conv_psi_case():
