@@ -26,17 +26,17 @@ oracle's reverse mode and the relaxation transport share one definition:
 forward(acts, ps) reads the activations of the parents ps from the
 per-node list acts and returns (activation, saved), where saved is what
 forward already computed and the VJP reuses (see Sweep), and
-vjp(cotangent, saved) returns one cotangent per parent, in parent order.
-Dense and conv also have linear(saved, out=None) (the pre-activation GEMM
-on what forward saved, which finite_diff runs alone per perturbed weight
-column and sign), outer (the batch-summed parameter gradient), mirror (the
-psi <-> W layout switch) and gemm_input (what forward saves of an input,
-which the weight update can take of a relaxed activity without a forward);
-they share one forward, _activate(linear(gemm_input(x))), and their vjp
-takes the pre-activation cotangent and an optional back matrix in W's
-layout (W by default, or the mirrored psi). A dense or conv forward checks its
-pre-activation, and an add its sum, for NaN or Inf once and raises
-NonFiniteError.
+vjp(cotangent, saved, back=None) returns one cotangent per parent, in
+parent order; dense and conv take the pre-activation cotangent and an
+optional back matrix (mirrored psi) to use in place of W, which the other
+kinds ignore. Dense and conv also have linear(saved, out=None) (the
+pre-activation GEMM on what forward saved, which finite_diff runs alone
+per perturbed weight column and sign), outer (the batch-summed parameter
+gradient), mirror (the psi <-> W layout switch) and gemm_input (what
+forward saves of an input, which the weight update can take of a relaxed
+activity without a forward); they share one forward,
+_activate(linear(gemm_input(x))), which checks the pre-activation (an add
+checks its sum) for NaN or Inf once and raises NonFiniteError.
 
 A conv node saves its input's im2col columns, which are stored
 channel-major as one (C_in*kH*kW, B*H'*W') buffer (tensor.im2col), so its
@@ -170,7 +170,7 @@ class MaxPoolNode:
     def forward(self, acts: list[Tensor], ps: tuple[int, ...]) -> tuple[Tensor, Tensor]:
         return tensor.maxpool2d(acts[ps[0]])    # (pooled, argmax map)
 
-    def vjp(self, g: Tensor, saved: Tensor) -> list[Tensor]:
+    def vjp(self, g: Tensor, saved: Tensor, back: Tensor | None = None) -> list[Tensor]:
         _, _, h2, w2 = g.shape
         return [tensor.maxpool2d_scatter(g, saved, 2 * h2, 2 * w2)]
 
@@ -183,7 +183,7 @@ class FlattenNode:
         x = acts[ps[0]]
         return x.reshape(x.shape[0], -1), None
 
-    def vjp(self, g: Tensor, saved: None) -> list[Tensor]:
+    def vjp(self, g: Tensor, saved: None, back: Tensor | None = None) -> list[Tensor]:
         return [g.reshape(g.shape[0], *self.in_shape)]
 
 
@@ -198,7 +198,7 @@ class AddNode:
         # a non-finite partial sum stays non-finite, so one check covers all
         return tensor.check_finite(out, "AddNode forward"), None
 
-    def vjp(self, g: Tensor, saved: None) -> list[Tensor]:
+    def vjp(self, g: Tensor, saved: None, back: Tensor | None = None) -> list[Tensor]:
         return [g] * self.arity
 
 

@@ -80,7 +80,7 @@ def backprop(g: Graph, acts: Sweep, target, *, read=None, back=None, fprime=None
             grads.param[j] = node.outer(gj, acts.saved[j])
         ps = g.parent_ids[j]
         if needed.intersection(ps):
-            for p, contribution in zip(ps, node.vjp(gj, acts.saved[j], *([back[j]] if j in back else []))):
+            for p, contribution in zip(ps, node.vjp(gj, acts.saved[j], back.get(j))):
                 if p in needed:
                     grads.node[p] = grads.node[p] + contribution if p in grads.node else contribution
 

@@ -73,10 +73,10 @@ class DivergenceError(RuntimeError):
     guards only the nodes it relaxes, and on its closed-form path (frozen
     relaxation derivatives) only the final state, so `iteration` is always
     n_iters - 1 there, and a transient overshoot is not reported. On its
-    unfrozen path a node it relaxes in its dense child's width (_InputFed)
-    is likewise guarded only in the last step, like the closed form's
-    pruned terms; before that, its overflow shows as a non-finite forward
-    in the child's f', a DivergenceError at the child.
+    unfrozen path a node it relaxes in its child's width (_InputFed) is
+    likewise guarded only in the last step; before that, where the child is
+    dense with a live f', its overflow shows as a non-finite forward in
+    that f', a DivergenceError at the child.
     """
 
     def __init__(self, node: int, iteration: int, detail: str = ""):
@@ -125,11 +125,7 @@ class ARConfig:
 
 
 def _in_scope(node, scope: str) -> bool:
-    if scope == "all":
-        return True
-    if scope == "conv":
-        return isinstance(node, ConvNode)
-    return isinstance(node, DenseNode)
+    return isinstance(node, {"all": PARAMETRIC, "conv": ConvNode, "dense": DenseNode}[scope])
 
 
 def _drops_nonlinearity(node, cfg: ARConfig) -> bool:
@@ -138,6 +134,11 @@ def _drops_nonlinearity(node, cfg: ARConfig) -> bool:
 
 def _uses_psi(node, cfg: ARConfig) -> bool:
     return cfg.backwards_mode == "learned_psi" and _in_scope(node, cfg.backwards_scope)
+
+
+def _back(node, cfg: ARConfig) -> Tensor | None:
+    """node's vjp back matrix: mirror(psi) where cfg's learned psi covers it, else None."""
+    return node.mirror(node.psi) if isinstance(node, PARAMETRIC) and _uses_psi(node, cfg) else None
 
 
 @dataclass
@@ -203,13 +204,17 @@ def init_state(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
     return s
 
 
+def _live_fprime(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> bool:
+    """Whether node j has an f' (tanh) that cfg does not drop."""
+    return j in s.fprime_bar and not _drops_nonlinearity(g.nodes[j], cfg)
+
+
 def _scale_by_fprime(g: Graph, s: RelaxState, cfg: ARConfig, j: int, v: Tensor, unfrozen: bool) -> Tensor:
-    """v times the f' of dense/conv node j: frozen at the sweep, or with
-    `unfrozen` re-evaluated at the parents' relaxing activities. v itself
-    where j has no f' (linear) or cfg drops the nonlinearity."""
-    node = g.nodes[j]
-    if j not in s.fprime_bar or _drops_nonlinearity(node, cfg):
+    """v times node j's f', frozen at the sweep or, with `unfrozen`, taken at
+    the parents' relaxing activities; v itself where j has no live f'."""
+    if not _live_fprime(g, s, cfg, j):
         return v
+    node = g.nodes[j]
     if unfrozen:
         return node.fprime(node.forward(s.x, g.parent_ids[j])[0]) * v
     return s.fprime_bar[j] * v
@@ -248,12 +253,9 @@ def _sweep(g: Graph, s: RelaxState, cfg: ARConfig, live: set[int], combine,
         if send and any(p in live for p in ps):
             node = g.nodes[j]
             try:
-                if isinstance(node, PARAMETRIC):
-                    back = node.mirror(node.psi) if _uses_psi(node, cfg) else None
-                    # unnamed, the f'-scaled cotangent is freed when the VJP returns
-                    sent = node.vjp(_scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_relax_deriv), s.saved[j], back)
-                else:
-                    sent = node.vjp(s.x[j], s.saved[j])
+                # unnamed, the f'-scaled cotangent is freed when the VJP returns
+                sent = node.vjp(_scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_relax_deriv), s.saved[j],
+                                _back(node, cfg))
             except NonFiniteError as exc:
                 raise DivergenceError(j, iteration, str(exc)) from exc
             for p, contribution in zip(ps, sent):
@@ -351,25 +353,26 @@ def _closed_form_advance(g: Graph, s: RelaxState, cfg: ARConfig, steps: int, rea
 
 class _InputFed:
     """A node p that the unfrozen engine relaxes before its last step, whose
-    parents are all the input and whose only child c is dense. p sends
-    nothing, and until the last step only c's transport into p and c's
-    unfrozen f', at z = x_p W_c^T, read x_p. With `back` c's back matrix (W_c,
-    or mirror(psi_c) under learned psi), x_p(t) = (1 - eta_x)^t xbar_p +
-    u_t back, so p relaxes in c's width, from u = 0 and z = xbar_p W_c^T:
+    parents are all the input and whose only child c is dense or has no
+    live f'. p sends nothing, and until the last step only c's VJP into p,
+    linear in its cotangent v, and c's unfrozen f', at z = x_p W_c^T, read
+    x_p. So x_p(t) = (1 - eta_x)^t xbar_p + vjp_c(u_t): p relaxes in c's
+    width, from u = 0 and z = xbar_p W_c^T, and one VJP call rebuilds it:
 
         v = f'(z) * x_c,  u <- (1 - eta_x) u + eta_x v,  z <- (1 - eta_x) z + eta_x v G,
 
-    with G = back W_c^T and v from the pre-step z and x_c. Where c has no f'
-    (linear, or f' dropped) v is x_c and z is not kept."""
+    with G = back W_c^T (back: W_c, or mirror(psi_c)) and v from the
+    pre-step z and x_c. Where c has no live f', v is x_c and z is not kept
+    (a conv child's z would need a conv of its transposed conv)."""
 
     def __init__(self, g: Graph, s: RelaxState, cfg: ARConfig, p: int):
         self.p, self.c = p, g.children[p][0]
         self.node = node = g.nodes[self.c]
-        self.back = node.mirror(node.psi) if _uses_psi(node, cfg) else node.weight
+        self.back, self.slot = _back(node, cfg), g.parent_ids[self.c].index(p)
         self.u = np.zeros_like(s.xbar[self.c])
-        unfrozen = self.c in s.fprime_bar and not _drops_nonlinearity(node, cfg)
+        unfrozen = _live_fprime(g, s, cfg, self.c)
         self.z = node.linear(s.xbar[p]) if unfrozen else None
-        self.gram = self.back @ node.weight.T if unfrozen else None
+        self.gram = node.linear(node.weight if self.back is None else self.back) if unfrozen else None
 
     def advance(self, x_c: Tensor, eta: float, t: int) -> None:
         """Step t from the pre-step x_c; a non-finite z is a DivergenceError
@@ -384,8 +387,9 @@ class _InputFed:
         self.u = (1.0 - eta) * self.u + eta * v
 
     def rebuild(self, s: RelaxState, steps: int, eta: float) -> None:
-        """Set x_p to its activity after `steps` steps, with one GEMM."""
-        s.x[self.p] = (1.0 - eta) ** steps * s.xbar[self.p] + self.u @ self.back
+        """Set x_p to its activity after `steps` steps."""
+        sent = self.node.vjp(self.u, s.saved[self.c], self.back)[self.slot]
+        s.x[self.p] = (1.0 - eta) ** steps * s.xbar[self.p] + sent
         s.outers.clear()
 
 
@@ -417,11 +421,11 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -
     relax_step, the reference engine, runs n_iters times, over `read` and
     the nodes below it (Graph.below) but on the last step, over `read`.
     A node of that set whose parents are all the input and whose only
-    child is dense sends nothing, so on the first n_iters - 1 steps it is
-    relaxed in its child's width instead (_InputFed; on mlp4, flatten in
-    300 columns instead of 784), and its activity is rebuilt with one GEMM
-    before the last step. Only its own activity moves, by rounding; every
-    other node's stays bit-identical to every-node steps.
+    child is dense or has no live f' sends nothing, so on the first
+    n_iters - 1 steps it is relaxed in its child's width instead and
+    rebuilt by the child's VJP (_InputFed; on mlp4 flatten, in 300 columns
+    instead of 784; on cnn conv 1, in its max-pool's). Only its own
+    activity moves, by rounding; every other node's stays bit-identical.
     Otherwise the state after S = n_iters - 1 steps is computed in closed
     form,
 
@@ -446,7 +450,8 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -
     if cfg.unfreeze_relax_deriv:
         reach = read.union(g.below(read))
         tracked = [_InputFed(g, s, cfg, p) for p in reach if set(g.parent_ids[p]) == {g.input}
-                   and len(g.children[p]) == 1 and isinstance(g.nodes[g.children[p][0]], DenseNode)]
+                   and len(cs := g.children[p]) == 1
+                   and (isinstance(g.nodes[cs[0]], DenseNode) or not _live_fprime(g, s, cfg, cs[0]))]
         live = reach.difference(tr.p for tr in tracked)
         for t in range(last):
             pre_step = [s.x[tr.c] for tr in tracked]

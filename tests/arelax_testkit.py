@@ -218,12 +218,11 @@ def reference_step(g, s, cfg):
         ps = g.parent_ids[j]
         if all(p == g.input for p in ps):      # the input, or fed by it alone
             continue
-        node = g.nodes[j]
+        node, v = g.nodes[j], s.x[j]
         if isinstance(node, PARAMETRIC):
             fp = sub["fprime"][j] if j in sub["fprime"] else node.fprime(s.xbar[j])
-            sent = node.vjp(s.x[j] if fp is None else fp * s.x[j], s.saved[j], sub["back"].get(j))
-        else:
-            sent = node.vjp(s.x[j], s.saved[j])
+            v = v if fp is None else fp * v
+        sent = node.vjp(v, s.saved[j], sub["back"].get(j))
         for p, contribution in zip(ps, sent):
             if p != g.input:
                 incoming[p] = incoming[p] + contribution if p in incoming else contribution

@@ -130,24 +130,27 @@ def updates_vs_fresh_state():
 
 
 def tracked_vs_steps():
-    """run_relaxation on reduced mlp4, whose flatten node is fed by the input
-    alone and feeds one dense node, so that the unfrozen engine relaxes it
-    in that node's width, against relax_step taken T times over every node,
-    under unfrozen relax and weight f', plain and with dense-scoped learned
-    psi."""
-    rng = Rng(43)
-    g = build(reduced_spec(ModelSpec("mlp4")), rng)
-    x, target = random_case(g, rng, 2)
-    acts = forward(g, x)
+    """run_relaxation against relax_step taken T times over every node, on
+    reduced mlp4 and reduced cnn, whose flatten and first conv are fed by
+    the input alone and feed one node (a dense node; a max-pool), so that
+    the unfrozen engine relaxes them in that node's width: mlp4 under
+    unfrozen relax and weight f', cnn under unfrozen relax f', each plain
+    and with learned psi scoped to the tracked node's kind."""
     errs = {}
-    for k, extra in enumerate([{}, {"backwards_mode": "learned_psi", "backwards_scope": "dense"}]):
-        cfg = ARConfig(n_iters=20, unfreeze_relax_deriv=True, unfreeze_weight_deriv=True, **extra)
-        got = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
-        want = relaxation.init_state(g, acts, target, cfg)
-        for it in range(cfg.n_iters):
-            relaxation.relax_step(g, want, cfg, iteration=it)
-        errs.update({(k, i): rel_error(got.x[i], want.x[i]) for i in range(len(g.nodes))})
-    return worst_entry("tracked_vs_steps", errs, 1e-12, label="mlp4_reduced")
+    for name, unfrozen, scope in [("mlp4", {"unfreeze_weight_deriv": True}, "dense"), ("cnn", {}, "conv")]:
+        rng = Rng(43)
+        g = build(reduced_spec(ModelSpec(name)), rng)
+        x, target = random_case(g, rng, 2)
+        acts = forward(g, x)
+        for k, extra in enumerate([{}, {"backwards_mode": "learned_psi", "backwards_scope": scope}]):
+            cfg = ARConfig(n_iters=20, unfreeze_relax_deriv=True, **unfrozen, **extra)
+            got = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
+            want = relaxation.init_state(g, acts, target, cfg)
+            for it in range(cfg.n_iters):
+                relaxation.relax_step(g, want, cfg, iteration=it)
+            errs.update({((name, k), i): rel_error(got.x[i], want.x[i]) for i in range(len(g.nodes))})
+    worst = max(errs, key=errs.get)
+    return worst_entry("tracked_vs_steps", errs, 1e-12, label=f"{worst[0][0]}_reduced")
 
 
 # conv -> conv -> flatten -> dense, with as many channels as kernel rows and
@@ -218,7 +221,7 @@ CHECKS = {f.__name__: f for f in (oracle_vs_fd, steps_vs_reference, closed_form_
                                   default_read_vs_every_node)}
 
 
-def pool_vjp_to_window_corner(self, g, saved):
+def pool_vjp_to_window_corner(self, g, saved, back=None):
     """Routes every pooled cotangent to its window's top-left cell, whichever
     cell won the forward."""
     b, c, h2, w2 = g.shape
@@ -337,6 +340,16 @@ def rebuild_one_decay_short(bare):
     return lambda self, s, steps, eta: bare(self, s, steps - 1, eta)
 
 
+def rebuild_through_weight(bare):
+    """_InputFed.rebuild calling the child's VJP without its back matrix, so
+    that it transports through W where learned psi gives another."""
+    def rebuild(self, s, steps, eta):
+        back, self.back = self.back, None
+        bare(self, s, steps, eta)
+        self.back = back
+    return rebuild
+
+
 def advance_keeping_z(bare):
     """_InputFed.advance that never moves z, so f' stays at the sweep's."""
     def advance(self, x_c, eta, t):
@@ -408,6 +421,14 @@ MUTANTS = {
                                         rebuild_one_decay_short(relaxation._InputFed.rebuild), "tracked_vs_steps"),
     "tracked_z_never_advanced": (relaxation._InputFed, "advance", advance_keeping_z(relaxation._InputFed.advance),
                                  "tracked_vs_steps"),
+    "tracked_rebuild_through_weight": (relaxation._InputFed, "rebuild",
+                                       rebuild_through_weight(relaxation._InputFed.rebuild), "tracked_vs_steps"),
+    # the engine's one back-matrix rule, which every VJP call takes, and its
+    # one live-f' rule, which the transport, the updates and the choice of
+    # tracked node take
+    "back_ignores_psi": (relaxation, "_back", lambda node, cfg: None, "steps_vs_reference"),
+    "live_fprime_ignores_dropped": (relaxation, "_live_fprime", lambda g, s, cfg, j: j in s.fprime_bar,
+                                    "steps_vs_reference"),
     # the engine and the variant oracle read psi through the same mirror
     "conv_mirror_swaps_channels": (ConvNode, "mirror", staticmethod(lambda m: m.transpose(1, 0, 2, 3)),
                                    "psi_transport_vs_col2im"),

@@ -343,10 +343,11 @@ class TestConvVjp:
 @pytest.mark.parametrize("spec", [CONV_POOL_SPEC, TWO_CONV_POOL_SPEC, ADD_FROM_INPUT_SPEC],
                          ids=["conv_pool", "two_conv_pool", "add_from_input"])
 def test_vjp_and_outer_leave_their_arguments_unchanged(spec, batch):
-    """Every node kind's vjp, with and without a back matrix, and the dense
-    and conv outer write into none of their arguments: init_state starts the
-    relaxing activities as the sweep's own arrays, and no sweep may change
-    them. At B=1 the conv VJP's batch-innermost cotangent is a view of gz."""
+    """Every node kind's vjp, with and without a back argument (one that the
+    non-parametric kinds ignore), and the dense and conv outer write into
+    none of their arguments: init_state starts the relaxing activities as
+    the sweep's own arrays, and no sweep may change them. At B=1 the conv
+    VJP's batch-innermost cotangent is a view of gz."""
     rng = Rng(7)
     g = build(spec, rng)
     acts = forward(g, rng.normal((batch, *g.shapes[g.input])))
@@ -355,12 +356,12 @@ def test_vjp_and_outer_leave_their_arguments_unchanged(spec, batch):
             continue
         node, gz, saved = g.nodes[j], rng.normal(acts[j].shape), acts.saved[j]
         parametric = isinstance(node, graph.PARAMETRIC)
-        back = node.mirror(node.psi) if parametric else None
+        back = node.mirror(node.psi) if parametric else rng.normal((2, 2))
         args = [a for a in (gz, saved, back, getattr(node, "weight", None)) if a is not None]
         before = [a.copy() for a in args]
         node.vjp(gz, saved)
+        node.vjp(gz, saved, back)
         if parametric:
-            node.vjp(gz, saved, back)
             node.outer(gz, saved)
         for a, want in zip(args, before):
             assert np.array_equal(a, want), (j, type(node).__name__)
