@@ -361,9 +361,9 @@ class _InputFed:
 
         v = f'(z) * x_c,  u <- (1 - eta_x) u + eta_x v,  z <- (1 - eta_x) z + eta_x v G,
 
-    with G = back W_c^T (back: W_c, or mirror(psi_c)) and v from the
-    pre-step z and x_c. Where c has no live f', v is x_c and z is not kept
-    (a conv child's z would need a conv of its transposed conv)."""
+    with G = back W_c^T (back: W_c, or mirror(psi_c)), v from the pre-step z
+    and x_c. Where c has no live f', v is x_c and z is not kept; a conv c
+    with one is not tracked, as its z would need conv of transposed conv."""
 
     def __init__(self, g: Graph, s: RelaxState, cfg: ARConfig, p: int):
         self.p, self.c = p, g.children[p][0]
