@@ -12,11 +12,13 @@ A graph is built from a list of node descriptors (dicts). Supported kinds:
 "parents" defaults to the previous node, so plain chains need no wiring.
 A descriptor takes only its kind's keys (KEYS), and its counts, extents
 and parent ids are Python or numpy integers.
-Dense/conv descriptors may carry an explicit "weight" array; otherwise
-weights are drawn uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from the
-supplied Rng. Every dense/conv node also gets backwards parameters psi of
-the mirrored shape, drawn independently from the same distribution, so the
-learned-backwards-weights mode can be switched on without rebuilding.
+Dense/conv descriptors may carry explicit "weight" and "psi" arrays, which
+the graph copies, since it owns its parameters (relaxation.apply_updates
+adds into them); otherwise they are drawn uniform in
+[-1/sqrt(fan_in), +1/sqrt(fan_in)] from the supplied Rng. Every dense/conv
+node gets backwards parameters psi of the mirrored shape, drawn
+independently from the same distribution, so the learned-backwards-weights
+mode can be switched on without rebuilding.
 
 Activation shapes are tracked per sample; at run time every activation
 carries a leading batch dimension.
@@ -273,10 +275,11 @@ def _toposort(n: int, parent_ids: list[tuple[int, ...]]) -> tuple[list[int], lis
 
 
 def _param(i: int, item: dict, key: str, shape: tuple[int, ...], fan_in: int, rng: Rng | None) -> Tensor:
-    """The descriptor's explicit `key` array, checked against shape, or a
-    uniform draw in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+    """A copy of the descriptor's explicit `key` array, checked against
+    shape, or a uniform draw in [-1/sqrt(fan_in), +1/sqrt(fan_in)]: the
+    graph owns its parameters, which apply_updates writes in place."""
     if key in item:
-        t = tensor.as_tensor(item[key])
+        t = np.array(item[key], dtype=np.float64, order="C")
         if t.shape != shape:
             raise GraphError(f"node {i}: explicit {key} shape {t.shape} != {shape}")
         return t

@@ -406,11 +406,14 @@ def _check_graph(label: str, g: Graph, rng: Rng, cfg: ExperimentConfig,
     # node_rel_errors reads every node
     state = relaxation.run_relaxation(g, acts, target, replace(cfg.ar, n_iters=gc.iters),
                                       read=range(len(g.nodes)))
-    grads = oracle.backprop(g, acts, target, **variant_substitutions(g, cfg.ar, state))
+    subs = variant_substitutions(g, cfg.ar, state)
+    grads = oracle.backprop(g, acts, target, **subs)
     errs = node_rel_errors(g, state, grads, gc.batch)
     worst_node = max(errs, key=errs.get)
     entries.append(GradcheckEntry(label, "ar_vs_oracle", errs[worst_node], gc.tolerance, worst_node))
-    entries.append(_fd_entry(label, g, x, target, oracle.backprop(g, acts, target), gc))
+    # with nothing substituted the variant pass is the plain one
+    plain = oracle.backprop(g, acts, target) if any(subs.values()) else grads
+    entries.append(_fd_entry(label, g, x, target, plain, gc))
 
 
 def variant_substitutions(g: Graph, cfg: ARConfig, state: RelaxState) -> dict[str, dict]:

@@ -42,7 +42,9 @@ Variants, all switchable per ARConfig:
 Weight updates at equilibrium descend the loss:
     dW = -eta_theta * mean_batch[(f'(abar) * x_child_star) outer xbar_parent]
 and equal -eta_theta times the exact loss gradient once the relaxation has
-converged (baseline flags).
+converged (baseline flags). The batch mean's 1/B scales the smaller of the
+cotangent and the product (_update_outer), and apply_updates adds each
+delta into the parameter array in place.
 """
 
 from __future__ import annotations
@@ -472,22 +474,33 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -
 def _update_outer(g: Graph, s: RelaxState, cfg: ARConfig, j: int) -> Tensor:
     """Batch-mean outer product between the (optionally f'-weighted) child
     equilibrium activity and the parent activity; shaped like the weight.
-    At a learned-psi node it is kept in s.outers, where psi_update finds
-    the one weight_update computed."""
+    The 1/B of the mean scales whichever of the cotangent and the product
+    is smaller, so that only one product-sized array is written: a dense
+    node's cotangent (B x n_out) before the product, a conv node's
+    kernel-shaped product in place after it. At a learned-psi node it is
+    kept in s.outers, where psi_update finds the one weight_update
+    computed."""
     node = g.nodes[j]
     key = (j, cfg.unfreeze_weight_deriv, cfg.unfreeze_weight_activity, _drops_nonlinearity(node, cfg))
     if key in s.outers:
         return s.outers[key]
     child = _scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_weight_deriv)
     saved = node.gemm_input(s.x[g.parent_ids[j][0]]) if cfg.unfreeze_weight_activity else s.saved[j]
-    out = node.outer(child, saved) / child.shape[0]
+    batch = child.shape[0]
+    if child.size < node.weight.size:
+        out = node.outer(child / batch, saved)
+    else:
+        out = node.outer(child, saved)
+        out /= batch
     if _uses_psi(node, cfg):
         s.outers[key] = out
     return out
 
 
 def weight_update(g: Graph, s: RelaxState, cfg: ARConfig) -> dict[int, Tensor]:
-    """Descent deltas for every dense/conv weight, computed at equilibrium."""
+    """Descent deltas for every dense/conv weight, computed at equilibrium:
+    -eta_theta times _update_outer's batch mean, one new weight-sized
+    array per node."""
     return {j: -cfg.eta_theta * _update_outer(g, s, cfg, j) for j in g.parametric_ids()}
 
 
@@ -506,9 +519,28 @@ def apply_updates(
     weight_deltas: dict[int, Tensor],
     psi_deltas: dict[int, Tensor] | None = None,
 ) -> None:
-    """Add the deltas onto the graph parameters (exclusive-write phase)."""
-    for j, dw in weight_deltas.items():
-        g.nodes[j].weight = g.nodes[j].weight + dw
-    if psi_deltas:
-        for j, dpsi in psi_deltas.items():
-            g.nodes[j].psi = g.nodes[j].psi + dpsi
+    """Add the deltas into the graph parameters in place (exclusive-write
+    phase): each node keeps its weight and psi arrays, which graph.build
+    owns (it copies a spec's explicit ones), so an earlier read of
+    node.weight or node.psi sees the new values.
+
+    Every delta is checked first: one keyed to a node without parameters,
+    not of its parameter's shape, or of a dtype that float64 cannot hold
+    (complex), raises ValueError naming the node (and both shapes), and
+    the graph is left as it was.
+    """
+    updates = [(j, "weight", dw) for j, dw in weight_deltas.items()]
+    updates += [(j, "psi", dpsi) for j, dpsi in (psi_deltas or {}).items()]
+    for j, name, delta in updates:
+        node = g.nodes[j] if 0 <= j < len(g.nodes) else None
+        if not isinstance(node, PARAMETRIC):
+            kind = "not in the graph" if node is None else type(node).__name__
+            raise ValueError(f"node {j} ({kind}) has no {name} for a delta of shape {np.shape(delta)}")
+        if np.shape(delta) != getattr(node, name).shape:
+            raise ValueError(f"node {j}: {name} delta of shape {np.shape(delta)} "
+                             f"does not fit its {name} of shape {getattr(node, name).shape}")
+        if not np.can_cast(np.result_type(delta), np.float64, "same_kind"):
+            raise ValueError(f"node {j}: {name} delta of dtype {np.result_type(delta)} does not fit float64")
+    for j, name, delta in updates:
+        param = getattr(g.nodes[j], name)
+        np.add(param, delta, out=param)

@@ -16,10 +16,10 @@ import pytest
 from arelax import oracle, relaxation, tensor
 from arelax.graph import ConvNode, DenseNode, Graph, MaxPoolNode, _Parametric, build, forward
 from arelax.harness import (ExperimentConfig, GradcheckEntry, GradcheckOptions, _check_graph, _fd_entry,
-                            random_case, rel_error)
+                            random_case, rel_error, variant_substitutions)
 from arelax.models import ModelSpec, reduced_spec
 from arelax.oracle import backprop
-from arelax.relaxation import ARConfig
+from arelax.relaxation import BACKWARDS_MODES, ARConfig
 from arelax.tensor import Rng
 
 from arelax_testkit import CONV_POOL_SPEC, SCOPED_CONFIGS, TWO_CONV_POOL_SPEC, reference_step
@@ -215,10 +215,37 @@ def default_read_vs_every_node():
     return worst_entry("default_read_vs_every_node", errs, 0.0)
 
 
+def updates_vs_oracle():
+    """The parameters' change over one step at a batch of 3, the
+    relaxation converged (eta_x = 1 reaches the fixed point exactly in as
+    many steps as the graph is deep): weight_update and psi_update, added
+    by apply_updates, against -eta times the variant oracle's parameter
+    gradients (mirrored for psi), under baseline and learned psi."""
+    errs = {}
+    for mode in BACKWARDS_MODES:
+        rng = Rng(45)
+        g = build(TWO_CONV_POOL_SPEC, rng)
+        x, target = random_case(g, rng, 3)
+        acts = forward(g, x)
+        cfg = ARConfig(eta_x=1.0, n_iters=10, eta_theta=0.5, eta_psi=0.25, backwards_mode=mode)
+        s = relaxation.run_relaxation(g, acts, target, cfg)
+        grads = backprop(g, acts, target, **variant_substitutions(g, cfg, s))
+        psi = mode == "learned_psi"
+        before = {j: (g.nodes[j].weight.copy(), g.nodes[j].psi.copy()) for j in g.parametric_ids()}
+        relaxation.apply_updates(g, relaxation.weight_update(g, s, cfg),
+                                 relaxation.psi_update(g, s, cfg) if psi else None)
+        for j, (w, p) in before.items():
+            node = g.nodes[j]
+            errs[(mode, "weight"), j] = rel_error(node.weight - w, -cfg.eta_theta * grads.param[j])
+            if psi:
+                errs[(mode, "psi"), j] = rel_error(node.psi - p, -cfg.eta_psi * node.mirror(grads.param[j]))
+    return worst_entry("updates_vs_oracle", errs, 1e-9)
+
+
 CHECKS = {f.__name__: f for f in (oracle_vs_fd, steps_vs_reference, closed_form_vs_steps,
                                   unfrozen_vs_steps, updates_vs_fresh_state, ar_vs_variant_oracle,
                                   tracked_vs_steps, psi_transport_vs_col2im, updates_under_two_settings,
-                                  default_read_vs_every_node)}
+                                  default_read_vs_every_node, updates_vs_oracle)}
 
 
 def pool_vjp_to_window_corner(self, g, saved, back=None):
@@ -368,6 +395,20 @@ def outer_keyed_on_node_id(bare):
     return update_outer
 
 
+def mean_on_both_operands(bare):
+    """_update_outer dividing by the batch on the cotangent and again on the
+    product."""
+    return lambda g, s, cfg, j: bare(g, s, cfg, j) / s.x[j].shape[0]
+
+
+def apply_into_deltas(g, weight_deltas, psi_deltas=None):
+    """apply_updates adding each parameter into its delta in place, which
+    leaves the parameters as they were."""
+    for name, deltas in (("weight", weight_deltas), ("psi", psi_deltas or {})):
+        for j, delta in deltas.items():
+            np.add(getattr(g.nodes[j], name), delta, out=delta)
+
+
 def read_set_without_parents(g, cfg, read):
     """_read_set whose default is the parametric nodes alone, whatever the
     weight-side settings re-read."""
@@ -439,6 +480,11 @@ MUTANTS = {
     "outer_cache_keyed_on_node_id": (relaxation, "_update_outer", outer_keyed_on_node_id(relaxation._update_outer),
                                      "updates_under_two_settings"),
     "read_set_without_parents": (relaxation, "_read_set", read_set_without_parents, "default_read_vs_every_node"),
+    # updates_vs_fresh_state and updates_under_two_settings compare the
+    # update code with itself, so neither sees a wrong batch mean or add
+    "update_mean_on_both_operands": (relaxation, "_update_outer", mean_on_both_operands(relaxation._update_outer),
+                                     "updates_vs_oracle"),
+    "apply_adds_into_the_deltas": (relaxation, "apply_updates", apply_into_deltas, "updates_vs_oracle"),
 }
 
 

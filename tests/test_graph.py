@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from arelax import graph, tensor
+from arelax import graph, relaxation, tensor
 from arelax.graph import AddNode, GraphError, build, forward
 from arelax.harness import skip_dag_spec
 from arelax.tensor import NonFiniteError, Rng, ShapeError
@@ -93,6 +93,39 @@ class TestBuild:
         ]
         with pytest.raises(GraphError, match="psi shape"):
             build(spec, Rng(0))
+
+    def test_explicit_parameters_are_the_graphs_own(self):
+        # a training step adds into the graph's parameters, not the spec's
+        rng = Rng(3)
+        spec = [{"kind": "input", "shape": (4,)},
+                {"kind": "dense", "units": 3, "weight": rng.uniform((3, 4), -1, 1),
+                 "psi": rng.uniform((4, 3), -1, 1)},
+                {"kind": "dense", "units": 2, "activation": "linear", "weight": rng.uniform((2, 3), -1, 1),
+                 "psi": rng.uniform((3, 2), -1, 1)}]
+        given = [{k: item[k].copy() for k in ("weight", "psi")} for item in spec[1:]]
+        g = build(spec)
+        cfg = relaxation.ARConfig(n_iters=5, eta_theta=0.1, backwards_mode="learned_psi")
+        x, t = rng.normal((2, 4)), rng.normal((2, 2))
+        s = relaxation.run_relaxation(g, forward(g, x), t, cfg)
+        relaxation.apply_updates(g, relaxation.weight_update(g, s, cfg), relaxation.psi_update(g, s, cfg))
+        for j, item, before in zip((1, 2), spec[1:], given):
+            for k in ("weight", "psi"):
+                np.testing.assert_array_equal(item[k], before[k])
+                assert not np.array_equal(getattr(g.nodes[j], k), before[k])
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_one_array_as_weight_and_psi_gives_two_parameters(self, square):
+        # weight = psi.T; a square array may also be given as both as it is
+        w = np.arange(9.0).reshape(3, 3) if square else np.arange(12.0).reshape(3, 4)
+        g = build([{"kind": "input", "shape": (w.shape[1],)},
+                   {"kind": "dense", "units": 3, "weight": w, "psi": w if square else w.T}])
+        node = g.nodes[1]
+        assert not np.shares_memory(node.weight, node.psi)
+        assert not np.shares_memory(node.weight, w) and not np.shares_memory(node.psi, w)
+        psi = node.psi.copy()
+        relaxation.apply_updates(g, {1: np.ones(w.shape)})
+        np.testing.assert_array_equal(node.weight, w + 1)
+        np.testing.assert_array_equal(node.psi, psi)
 
     @pytest.mark.parametrize("item", [
         {"kind": "dense", "units": 0},

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arelax import cli, models, oracle, relaxation
+from arelax import cli, harness, models, oracle, relaxation
 from arelax.data import Dataset
 from arelax.graph import build, forward
 from arelax.harness import (
@@ -537,6 +537,26 @@ class TestGradcheck:
         assert checks == {"ar_vs_oracle", "oracle_vs_fd"}
         labels = [e.label for e in report.entries]
         assert "skip_dag" in labels and "mlp4_reduced" in labels
+
+    @pytest.mark.parametrize("variant, passes", [({}, 1), ({"backwards_mode": "learned_psi"}, 2)],
+                             ids=["baseline", "learned_psi"])
+    def test_one_backprop_per_graph_when_nothing_is_substituted(self, monkeypatch, variant, passes):
+        cfg = self._cfg()
+        cfg.ar = ARConfig(**variant)
+        bare, calls = oracle.backprop, []
+        monkeypatch.setattr(oracle, "backprop", lambda *a, **kw: calls.append(kw) or bare(*a, **kw))
+        assert gradcheck(cfg).ok
+        assert len(calls) == passes * (cfg.gradcheck.graphs + 1)
+
+    def test_reused_pass_gives_the_same_report(self, monkeypatch):
+        cfg = self._cfg()
+        want = gradcheck(cfg).lines()
+        bare = harness._fd_entry
+
+        def fd_entry_on_a_fresh_pass(label, g, x, target, grads, gc):
+            return bare(label, g, x, target, oracle.backprop(g, forward(g, x), target), gc)
+        monkeypatch.setattr(harness, "_fd_entry", fd_entry_on_a_fresh_pass)
+        assert gradcheck(cfg).lines() == want
 
     def test_reduced_model_fd_covers_input_gradient(self, monkeypatch):
         bare = oracle.finite_diff

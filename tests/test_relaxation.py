@@ -937,6 +937,111 @@ class TestWeightUpdate:
             np.testing.assert_array_equal(we[j], wdp[j])
 
 
+def product_mean_deltas(g, s, cfg):
+    """The weight and psi deltas as -eta * (node.outer(child, saved) / B):
+    the batch mean taken on the product, whatever its size."""
+    wd, pd = {}, {}
+    for j in g.parametric_ids():
+        node = g.nodes[j]
+        child = relaxation._scale_by_fprime(g, s, cfg, j, s.x[j], cfg.unfreeze_weight_deriv)
+        mean = node.outer(child, s.saved[j]) / child.shape[0]
+        wd[j] = -cfg.eta_theta * mean
+        if relaxation._uses_psi(node, cfg):
+            pd[j] = -cfg.eta_psi * node.mirror(mean)
+    return wd, pd
+
+
+UPDATE_CASES = {
+    "mlp4": ARConfig(n_iters=3),
+    "cnn": ARConfig(n_iters=3, backwards_mode="learned_psi", backwards_scope="conv", eta_psi=0.003),
+}
+
+
+def relaxed_model(name, batch):
+    rng = Rng(56)
+    g = models.build_model(models.ModelSpec(name), rng)
+    cfg = UPDATE_CASES[name]
+    x, t = random_case(g, rng, batch)
+    return g, run_relaxation(g, forward(g, x), t, cfg), cfg
+
+
+def updates(g, s, cfg):
+    learned = cfg.backwards_mode == "learned_psi"
+    return weight_update(g, s, cfg), psi_update(g, s, cfg) if learned else {}
+
+
+class TestUpdatePath:
+    """The batch mean moved onto the smaller operand gives the deltas of
+    the product-side mean, and apply_updates adds them in place."""
+
+    @pytest.mark.parametrize("name", sorted(UPDATE_CASES))
+    def test_deltas_at_a_power_of_two_batch_are_the_product_means(self, name):
+        g, s, cfg = relaxed_model(name, 64)
+        (wd, pd), (want_w, want_p) = updates(g, s, cfg), product_mean_deltas(g, s, cfg)
+        assert wd.keys() == want_w.keys() and pd.keys() == want_p.keys()
+        assert pd or name == "mlp4"
+        for got, want in ((wd, want_w), (pd, want_p)):
+            for j in want:
+                np.testing.assert_array_equal(got[j], want[j])
+
+    @pytest.mark.parametrize("name", sorted(UPDATE_CASES))
+    def test_deltas_at_batch_3_match_the_product_means(self, name):
+        g, s, cfg = relaxed_model(name, 3)
+        (wd, pd), (want_w, want_p) = updates(g, s, cfg), product_mean_deltas(g, s, cfg)
+        for got, want in ((wd, want_w), (pd, want_p)):
+            for j in want:
+                assert rel_error(got[j], want[j]) <= 1e-14, j
+
+    @pytest.mark.parametrize("name", sorted(UPDATE_CASES))
+    def test_apply_adds_into_the_parameters_in_place(self, name):
+        g, s, cfg = relaxed_model(name, 3)
+        wd, pd = updates(g, s, cfg)
+        params = {(j, k): getattr(g.nodes[j], k) for j in g.parametric_ids() for k in ("weight", "psi")}
+        want = {key: p.copy() for key, p in params.items()}
+        for j in wd:
+            want[j, "weight"] += wd[j]
+        for j in pd:
+            want[j, "psi"] += pd[j]
+        apply_updates(g, wd, pd)
+        for (j, k), p in params.items():
+            assert getattr(g.nodes[j], k) is p
+            np.testing.assert_array_equal(p, want[j, k])
+
+    @pytest.mark.parametrize("node, weight, psi, match", [
+        (1, None, None, r"node 1 \(FlattenNode\) has no weight for a delta of shape \(1, 1\)"),
+        (9, None, None, r"node 9 \(not in the graph\) has no weight"),
+        (2, (2, 300, 784), None, r"node 2: weight delta of shape \(2, 300, 784\) does not fit its "
+                                 r"weight of shape \(300, 784\)"),
+        (3, None, (300, 300, 1), r"node 3: psi delta of shape \(300, 300, 1\) does not fit its psi"),
+        (5, None, (10, 100), r"node 5: psi delta of shape \(10, 100\) does not fit its psi of shape \(100, 10\)"),
+    ], ids=["flatten", "no_such_node", "weight_3d", "psi_3d", "psi_in_w_layout"])
+    def test_apply_rejects_a_delta_that_does_not_fit(self, node, weight, psi, match):
+        g, s, cfg = relaxed_model("mlp4", 3)
+        wd = weight_update(g, s, cfg)
+        pd = {j: g.nodes[j].mirror(d) for j, d in wd.items()}
+        if psi is None:
+            wd[node] = np.ones(weight or (1, 1))
+        else:
+            pd[node] = np.ones(psi)
+        before = [(g.nodes[j].weight, g.nodes[j].weight.copy(), g.nodes[j].psi, g.nodes[j].psi.copy())
+                  for j in g.parametric_ids()]
+        with pytest.raises(ValueError, match=match):
+            apply_updates(g, wd, pd)
+        for w, w0, p, p0 in before:
+            np.testing.assert_array_equal(w, w0)
+            np.testing.assert_array_equal(p, p0)
+
+    def test_apply_rejects_a_complex_delta_before_writing(self):
+        g, s, cfg = relaxed_model("mlp4", 3)
+        wd = weight_update(g, s, cfg)
+        wd[5] = wd[5].astype(complex)
+        before = {j: g.nodes[j].weight.copy() for j in wd}
+        with pytest.raises(ValueError, match="node 5: weight delta of dtype complex128 does not fit float64"):
+            apply_updates(g, wd)
+        for j, w in before.items():
+            np.testing.assert_array_equal(g.nodes[j].weight, w)
+
+
 class TestVariants:
     def test_learned_psi_equal_to_transpose_when_psi_is_wt(self):
         rng = Rng(70)
