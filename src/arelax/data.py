@@ -105,7 +105,9 @@ def _read_idx(path: str, magic: int, what: str, ndim: int) -> tuple[list[int], n
 
 def load_idx(images_path: str, labels_path: str, name: str = "mnist", split: str = "train") -> Dataset:
     """Parse an IDX image/label file pair, each read by _read_idx, into a
-    normalized Dataset; the counts must agree and every label be below 10."""
+    normalized Dataset; the counts must agree and every label be below 10.
+    The split must be "train" or "test"."""
+    _check_split(split)
     (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "image", 3)
     (nl,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", 1)
     if nl != n:

@@ -246,6 +246,14 @@ class Graph:
     def parametric_ids(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if isinstance(n, PARAMETRIC)]
 
+    def node_ids(self, ids) -> set[int]:
+        """ids as a set; ValueError naming any id outside range(len(nodes))."""
+        ids = set(ids)
+        outside = sorted(i for i in ids if not 0 <= i < len(self.nodes))
+        if outside:
+            raise ValueError(f"node ids {outside} are not in this graph's range({len(self.nodes)})")
+        return ids
+
     def below(self, nodes) -> list[int]:
         """The nodes reachable by a path of one or more edges from a node
         in `nodes`, in topological order."""

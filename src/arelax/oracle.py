@@ -53,7 +53,8 @@ def backprop(g: Graph, acts: Sweep, target, *, read=None, back=None, fprime=None
     `read` is the node ids whose gradient the caller reads (None: every
     node). A node's gradient is computed iff it is in `read` or below it
     (Graph.below), so grads.node holds those nodes and grads.param the
-    parametric ones among them; a VJP into no such parent does not run.
+    parametric ones among them; a VJP into no such parent does not run. An
+    id outside the graph raises ValueError.
 
     `back` and `fprime` map a dense/conv node id to what its VJP takes in
     place of W and to its f' (None: no factor); a relaxation variant settles
@@ -62,7 +63,7 @@ def backprop(g: Graph, acts: Sweep, target, *, read=None, back=None, fprime=None
     back, fprime = back or {}, fprime or {}
     target = tensor.as_tensor(target)
     batch = acts[g.input].shape[0]
-    needed = set(range(len(g.nodes)) if read is None else read)
+    needed = set(range(len(g.nodes))) if read is None else g.node_ids(read)
     needed.update(g.below(needed))
     grads = GradientSet()
     if g.output in needed:

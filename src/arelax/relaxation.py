@@ -226,12 +226,13 @@ def _read_set(g: Graph, cfg: ARConfig, read) -> set[int]:
     """The node ids whose final activity run_relaxation's caller reads,
     the input left out. `read` None means what weight_update and
     psi_update read under cfg: the parametric nodes, plus their parents
-    when an unfrozen weight-side setting re-reads them."""
+    when an unfrozen weight-side setting re-reads them. An id outside the
+    graph raises ValueError."""
     if read is None:
         read = set(g.parametric_ids())
         if cfg.unfreeze_weight_deriv or cfg.unfreeze_weight_activity:
             read.update(p for j in g.parametric_ids() for p in g.parent_ids[j])
-    return set(read) - {g.input}
+    return g.node_ids(read) - {g.input}
 
 
 def _children(g: Graph, nodes: set[int]) -> set[int]:

@@ -5,6 +5,14 @@ random conv/pool/add DAGs, and written-out references to check the
 library against: a relaxation step, max pooling and its scatter, and the
 stacked finite differences with one node forward per perturbation.
 
+It also holds one comparator per engine property: run_relaxation against
+relax_step taken T times, relax_step against reference_step, the updates
+of a state against those of a fresh one, and the default read set against
+every node read. The tier-1 tests in test_relaxation.py and the checks in
+test_defects.py both call them, so each comparison is written once. A new
+fast path adds one comparator here, which its tier-1 tests and its defect
+check both call.
+
 The synthetic task is class-prototype images plus pixel noise, which a
 small network separates quickly; it exercises the loaders, the training
 loop, and the metrics pipeline end to end. Tests that assert the
@@ -21,10 +29,11 @@ import pytest
 from hypothesis import strategies as st
 
 from arelax import data as data_mod
-from arelax import oracle
+from arelax import oracle, relaxation
 from arelax.graph import PARAMETRIC, build, forward
-from arelax.harness import variant_substitutions
+from arelax.harness import random_case, rel_error, variant_substitutions
 from arelax.relaxation import ARConfig
+from arelax.tensor import Rng
 
 
 def write_idx_images(path: str, images: np.ndarray, compress: bool = False) -> None:
@@ -200,6 +209,81 @@ def conv_dags(draw):
         top = add({"kind": "dense", "units": draw(st.integers(1, 5)), "activation": "tanh"}, top)
     add({"kind": "dense", "units": draw(st.integers(2, 3)), "activation": "linear"}, top)
     return spec, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
+
+
+def spec_case(spec, seed: int, batch: int):
+    rng = Rng(seed)
+    g = build(spec, rng)
+    x, t = random_case(g, rng, batch)
+    return g, x, t
+
+
+def step_by_step(g, acts, t, cfg):
+    """The reference engine: relax_step n_iters times from init_state."""
+    s = relaxation.init_state(g, acts, t, cfg)
+    for it in range(cfg.n_iters):
+        relaxation.relax_step(g, s, cfg, iteration=it)
+    return s
+
+
+# The comparators call the engine through the relaxation module, so that a
+# patched helper is the one they run. Each returns relative errors keyed by
+# node (or by update and node), plus the states or deltas it compared, for
+# a caller that asserts bit-equality.
+
+def run_vs_steps(g, acts, t, cfg, read=None, want=None):
+    """run_relaxation with `read` against relax_step taken n_iters times
+    over every node (`want`, if the caller already has it): the error at
+    each node whose activity the run returned, and both states."""
+    got = relaxation.run_relaxation(g, acts, t, cfg, read=read)
+    if want is None:
+        want = step_by_step(g, acts, t, cfg)
+    return {i: rel_error(x, want.x[i]) for i, x in enumerate(got.x) if x is not None}, got, want
+
+
+def step_vs_reference(g, acts, t, cfg, steps=3):
+    """relax_step against reference_step over `steps` steps from xbar: the
+    error at every node, and both states."""
+    s, ref = relaxation.init_state(g, acts, t, cfg), relaxation.init_state(g, acts, t, cfg)
+    for it in range(steps):
+        relaxation.relax_step(g, s, cfg, iteration=it)
+        reference_step(g, ref, cfg)
+    return {i: rel_error(s.x[i], ref.x[i]) for i in range(len(g.nodes))}, s, ref
+
+
+def update_errors(g, cfg, got, want):
+    """weight_update, and psi_update under learned psi, of state got against
+    those of state want, in that order: the error per (update, node), and
+    both states' deltas by update name."""
+    names = ["weight_update"] + (["psi_update"] if cfg.backwards_mode == "learned_psi" else [])
+    errs, deltas = {}, {}
+    for name in names:
+        update = getattr(relaxation, name)
+        deltas[name] = update(g, got, cfg), update(g, want, cfg)
+        errs.update({(name, j): rel_error(deltas[name][0][j], w) for j, w in deltas[name][1].items()})
+    return errs, deltas
+
+
+def updates_vs_fresh(g, acts, t, s, cfg):
+    """The updates of state s under cfg against those of a fresh state from
+    the same sweep with s's activities, which never computed an update."""
+    fresh = relaxation.init_state(g, acts, t, cfg)
+    fresh.x = [a.copy() for a in s.x]
+    return update_errors(g, cfg, s, fresh)
+
+
+def default_read_vs_all(g, acts, t, cfg):
+    """run_relaxation with its default read set against every node read, at
+    the input and at what weight_update and psi_update read: the parametric
+    nodes, and their parents under an unfrozen weight-side setting. An
+    activity the default run left out (None) is an infinite error. Returns
+    the errors and both states."""
+    read = {g.input, *g.parametric_ids()}
+    if cfg.unfreeze_weight_deriv or cfg.unfreeze_weight_activity:
+        read |= {p for j in g.parametric_ids() for p in g.parent_ids[j]}
+    got = relaxation.run_relaxation(g, acts, t, cfg)
+    want = relaxation.run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
+    return {i: np.inf if got.x[i] is None else rel_error(got.x[i], want.x[i]) for i in sorted(read)}, got, want
 
 
 def reference_step(g, s, cfg):

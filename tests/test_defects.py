@@ -5,7 +5,13 @@ shows what the check can catch, not a case that fails anyway. A change to a
 check that stops it flagging a mutant fails here, by the mutant's name.
 
 The relaxation-side checks call the engine through the module, so that a
-patched helper is the one they run.
+patched helper is the one they run. Where a check compares the engine with
+itself (run_relaxation against relax_step taken T times, relax_step
+against reference_step, updates against a fresh state's, the default read
+set against every node), it calls the test kit's comparator for that
+property, which the tier-1 tests call too. A new fast path adds one
+comparator to the test kit, called by its tier-1 tests and by its check
+here, and one MUTANTS row per seeded defect.
 """
 
 from dataclasses import replace
@@ -16,22 +22,21 @@ import pytest
 from arelax import oracle, relaxation, tensor
 from arelax.graph import ConvNode, DenseNode, Graph, MaxPoolNode, _Parametric, build, forward
 from arelax.harness import (ExperimentConfig, GradcheckEntry, GradcheckOptions, _check_graph, _fd_entry,
-                            random_case, rel_error, variant_substitutions)
+                            rel_error, variant_substitutions)
 from arelax.models import ModelSpec, reduced_spec
 from arelax.oracle import backprop
 from arelax.relaxation import BACKWARDS_MODES, ARConfig
 from arelax.tensor import Rng
 
-from arelax_testkit import CONV_POOL_SPEC, SCOPED_CONFIGS, TWO_CONV_POOL_SPEC, reference_step
+from arelax_testkit import (CONV_POOL_SPEC, SCOPED_CONFIGS, TWO_CONV_POOL_SPEC, default_read_vs_all, run_vs_steps,
+                            spec_case, step_vs_reference, updates_vs_fresh)
 
 
 def oracle_vs_fd():
     """harness.gradcheck's oracle-vs-finite-differences entry on the conv/pool
     graph: the oracle's parameter and input gradients against central
     differences of the forward sweep."""
-    rng = Rng(41)
-    g = build(CONV_POOL_SPEC, rng)
-    x, target = random_case(g, rng, 2)
+    g, x, target = spec_case(CONV_POOL_SPEC, 41, 2)
     grads = backprop(g, forward(g, x), target)
     return _fd_entry("conv_pool", g, x, target, grads, GradcheckOptions())
 
@@ -39,9 +44,7 @@ def oracle_vs_fd():
 def relaxation_case():
     """conv -> conv -> maxpool -> flatten -> dense, whose second conv and
     dense node both transport into relaxing parents."""
-    rng = Rng(42)
-    g = build(TWO_CONV_POOL_SPEC, rng)
-    x, target = random_case(g, rng, 2)
+    g, x, target = spec_case(TWO_CONV_POOL_SPEC, 42, 2)
     return g, forward(g, x), target
 
 
@@ -65,6 +68,11 @@ def worst_entry(check: str, errs: dict, tolerance: float, label: str = "two_conv
     return GradcheckEntry(label, check, errs[worst], tolerance, worst[1])
 
 
+def keyed(k, errs: dict) -> dict:
+    """A comparator's errors keyed by (setting k, node)."""
+    return {(k, i): e for i, e in errs.items()}
+
+
 def steps_vs_reference():
     """relax_step against the test kit's reference_step, which states the
     variant rules again, over three steps from xbar under each scoped
@@ -73,11 +81,7 @@ def steps_vs_reference():
     g, acts, target = relaxation_case()
     errs = {}
     for k, cfg in enumerate([*SCOPED_CONFIGS, ARConfig(unfreeze_relax_deriv=True)]):
-        s, ref = relaxation.init_state(g, acts, target, cfg), relaxation.init_state(g, acts, target, cfg)
-        for it in range(3):
-            relaxation.relax_step(g, s, cfg, iteration=it)
-            reference_step(g, ref, cfg)
-        errs.update({(k, i): rel_error(s.x[i], ref.x[i]) for i in range(len(g.nodes))})
+        errs.update(keyed(k, step_vs_reference(g, acts, target, cfg)[0]))
     return worst_entry("steps_vs_reference", errs, 1e-12)
 
 
@@ -87,14 +91,8 @@ def closed_form_vs_steps():
     g, acts, target = relaxation_case()
     errs = {}
     for k, cfg in enumerate([ARConfig(), *SCOPED_CONFIGS]):
-        if cfg.unfreeze_relax_deriv:
-            continue
-        cfg = replace(cfg, n_iters=20)
-        got = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
-        want = relaxation.init_state(g, acts, target, cfg)
-        for it in range(cfg.n_iters):
-            relaxation.relax_step(g, want, cfg, iteration=it)
-        errs.update({(k, i): rel_error(got.x[i], want.x[i]) for i in range(len(g.nodes))})
+        if not cfg.unfreeze_relax_deriv:
+            errs.update(keyed(k, run_vs_steps(g, acts, target, replace(cfg, n_iters=20), range(len(g.nodes)))[0]))
     return worst_entry("closed_form_vs_steps", errs, 1e-12)
 
 
@@ -103,12 +101,7 @@ def unfrozen_vs_steps():
     default, against relax_step taken T times over every node."""
     g, acts, target = relaxation_case()
     cfg = ARConfig(n_iters=20, unfreeze_relax_deriv=True)
-    got = relaxation.run_relaxation(g, acts, target, cfg)
-    want = relaxation.init_state(g, acts, target, cfg)
-    for it in range(cfg.n_iters):
-        relaxation.relax_step(g, want, cfg, iteration=it)
-    errs = {(0, i): rel_error(x, want.x[i]) for i, x in enumerate(got.x) if x is not None}
-    return worst_entry("unfrozen_vs_steps", errs, 0.0)
+    return worst_entry("unfrozen_vs_steps", keyed(0, run_vs_steps(g, acts, target, cfg)[0]), 0.0)
 
 
 def updates_vs_fresh_state():
@@ -121,12 +114,7 @@ def updates_vs_fresh_state():
     relaxation.relax_step(g, s, cfg)
     relaxation.weight_update(g, s, cfg)
     relaxation.relax_step(g, s, cfg, iteration=1)
-    fresh = replace(s, outers={})
-    errs = {}
-    for k, update in enumerate([relaxation.weight_update, relaxation.psi_update]):
-        got, want = update(g, s, cfg), update(g, fresh, cfg)
-        errs.update({(k, j): rel_error(got[j], want[j]) for j in want})
-    return worst_entry("updates_vs_fresh_state", errs, 0.0)
+    return worst_entry("updates_vs_fresh_state", updates_vs_fresh(g, acts, target, s, cfg)[0], 0.0)
 
 
 def tracked_vs_steps():
@@ -138,17 +126,11 @@ def tracked_vs_steps():
     and with learned psi scoped to the tracked node's kind."""
     errs = {}
     for name, unfrozen, scope in [("mlp4", {"unfreeze_weight_deriv": True}, "dense"), ("cnn", {}, "conv")]:
-        rng = Rng(43)
-        g = build(reduced_spec(ModelSpec(name)), rng)
-        x, target = random_case(g, rng, 2)
+        g, x, target = spec_case(reduced_spec(ModelSpec(name)), 43, 2)
         acts = forward(g, x)
         for k, extra in enumerate([{}, {"backwards_mode": "learned_psi", "backwards_scope": scope}]):
             cfg = ARConfig(n_iters=20, unfreeze_relax_deriv=True, **unfrozen, **extra)
-            got = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
-            want = relaxation.init_state(g, acts, target, cfg)
-            for it in range(cfg.n_iters):
-                relaxation.relax_step(g, want, cfg, iteration=it)
-            errs.update({((name, k), i): rel_error(got.x[i], want.x[i]) for i in range(len(g.nodes))})
+            errs.update(keyed((name, k), run_vs_steps(g, acts, target, cfg, range(len(g.nodes)))[0]))
     worst = max(errs, key=errs.get)
     return worst_entry("tracked_vs_steps", errs, 1e-12, label=f"{worst[0][0]}_reduced")
 
@@ -169,9 +151,7 @@ def psi_transport_vs_col2im():
     conv, against the second conv's transport into it written out from psi
     itself, in W's layout, not through ConvNode.mirror: every patch column's
     gradient, scattered back by tensor.col2im."""
-    rng = Rng(44)
-    g = build(SQUARE_CONV_SPEC, rng)
-    x, target = random_case(g, rng, 2)
+    g, x, target = spec_case(SQUARE_CONV_SPEC, 44, 2)
     acts = forward(g, x)
     cfg = ARConfig(backwards_mode="learned_psi", backwards_scope="conv")
     s = relaxation.init_state(g, acts, target, cfg)
@@ -187,18 +167,13 @@ def psi_transport_vs_col2im():
 def updates_under_two_settings():
     """Under learned psi, the weight and psi updates of one relaxed state
     under unfreeze_weight_deriv, computed after the baseline's weight update
-    on the same state, against those of the state before any update."""
+    on the same state, against those of a state that never computed one."""
     g, acts, target = relaxation_case()
     cfg = ARConfig(n_iters=20, backwards_mode="learned_psi")
     s = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
-    fresh = replace(s, outers={})
     relaxation.weight_update(g, s, cfg)
     unfrozen = replace(cfg, unfreeze_weight_deriv=True)
-    errs = {}
-    for k, update in enumerate([relaxation.weight_update, relaxation.psi_update]):
-        got, want = update(g, s, unfrozen), update(g, fresh, unfrozen)
-        errs.update({(k, j): rel_error(got[j], want[j]) for j in want})
-    return worst_entry("updates_under_two_settings", errs, 0.0)
+    return worst_entry("updates_under_two_settings", updates_vs_fresh(g, acts, target, s, unfrozen)[0], 0.0)
 
 
 def default_read_vs_every_node():
@@ -208,11 +183,7 @@ def default_read_vs_every_node():
     out (None) is an infinite error."""
     g, acts, target = relaxation_case()
     cfg = ARConfig(n_iters=20, unfreeze_weight_activity=True)
-    got = relaxation.run_relaxation(g, acts, target, cfg)
-    want = relaxation.run_relaxation(g, acts, target, cfg, read=range(len(g.nodes)))
-    read = {i for j in g.parametric_ids() for i in (j, *g.parent_ids[j])}
-    errs = {(0, i): np.inf if got.x[i] is None else rel_error(got.x[i], want.x[i]) for i in read}
-    return worst_entry("default_read_vs_every_node", errs, 0.0)
+    return worst_entry("default_read_vs_every_node", keyed(0, default_read_vs_all(g, acts, target, cfg)[0]), 0.0)
 
 
 def updates_vs_oracle():
@@ -223,9 +194,7 @@ def updates_vs_oracle():
     gradients (mirrored for psi), under baseline and learned psi."""
     errs = {}
     for mode in BACKWARDS_MODES:
-        rng = Rng(45)
-        g = build(TWO_CONV_POOL_SPEC, rng)
-        x, target = random_case(g, rng, 3)
+        g, x, target = spec_case(TWO_CONV_POOL_SPEC, 45, 3)
         acts = forward(g, x)
         cfg = ARConfig(eta_x=1.0, n_iters=10, eta_theta=0.5, eta_psi=0.25, backwards_mode=mode)
         s = relaxation.run_relaxation(g, acts, target, cfg)

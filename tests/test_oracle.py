@@ -129,6 +129,13 @@ class TestBackprop:
         backprop(g, acts, t)        # the counter does see the full backprop
         assert ran == [fed]
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_read_id_outside_the_graph_is_rejected(self, bad):
+        g = build(CONV_POOL_SPEC, Rng(9))      # five nodes
+        acts = forward(g, Rng(10).normal((2, 2, 6, 6)))
+        with pytest.raises(ValueError, match=rf"^node ids \[{bad}\] are not in this graph's range\(5\)$"):
+            backprop(g, acts, np.zeros((2, 3)), read={1, bad})
+
 
 class TestFiniteDiff:
     def test_linear_net_near_exact(self):

@@ -36,21 +36,20 @@ from arelax_testkit import (
     SCOPED_CONFIGS,
     TWO_CONV_POOL_SPEC,
     conv_dags,
-    reference_step,
+    default_read_vs_all,
+    run_vs_steps,
     scalar_chain,
+    spec_case,
+    step_by_step,
+    step_vs_reference,
+    update_errors,
+    updates_vs_fresh,
 )
 
 
 def random_mlp(seed: int, batch: int = 4):
     rng = Rng(seed)
     g = build(random_chain_spec(rng, max_depth=4, max_width=16), rng)
-    x, t = random_case(g, rng, batch)
-    return g, x, t
-
-
-def spec_case(spec, seed: int, batch: int):
-    rng = Rng(seed)
-    g = build(spec, rng)
     x, t = random_case(g, rng, batch)
     return g, x, t
 
@@ -85,32 +84,28 @@ def longest_relaxing_path(g) -> int:
     return max(depth.values())
 
 
-def step_by_step(g, acts, t, cfg):
-    """The reference engine: relax_step n_iters times from init_state."""
-    s = init_state(g, acts, t, cfg)
-    for it in range(cfg.n_iters):
-        relax_step(g, s, cfg, iteration=it)
-    return s
+def assert_deltas_equal(deltas):
+    """Each update's deltas of the two states (update_errors) bit for bit."""
+    for got, want in deltas.values():
+        assert got.keys() == want.keys()
+        for j in want:
+            np.testing.assert_array_equal(got[j], want[j])
 
 
 def assert_engines_agree(g, acts, t, cfg, tol=1e-12):
-    got = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
-    want = step_by_step(g, acts, t, cfg)
+    errs, got, want = run_vs_steps(g, acts, t, cfg, range(len(g.nodes)))
     where = f"T={cfg.n_iters} eta_x={cfg.eta_x}"
-    for i in range(len(g.nodes)):
-        assert rel_error(got.x[i], want.x[i]) <= tol, f"node {i}, {where}"
+    assert errs.keys() == set(range(len(g.nodes))), where
+    for i, e in errs.items():
+        assert e <= tol, f"node {i}, {where}"
     # max|dx| is a difference of activities, so its rounding floor is set by
     # the activities' scale, not by its own size (it reaches 0 at convergence)
     scale = max(want.last_max_dx, max(float(np.max(np.abs(a))) for a in want.x))
     assert abs(got.last_max_dx - want.last_max_dx) <= tol * scale, where
-    wg, ww = weight_update(g, got, cfg), weight_update(g, want, cfg)
-    for j in ww:
-        assert rel_error(wg[j], ww[j]) <= tol, f"weight {j}, {where}"
-    if cfg.backwards_mode == "learned_psi":
-        pg, pw = psi_update(g, got, cfg), psi_update(g, want, cfg)
-        assert pg.keys() == pw.keys()
-        for j in pw:
-            assert rel_error(pg[j], pw[j]) <= tol, f"psi {j}, {where}"
+    errs, deltas = update_errors(g, cfg, got, want)
+    assert all(a.keys() == b.keys() for a, b in deltas.values()), where
+    for (name, j), e in errs.items():
+        assert e <= tol, f"{name} {j}, {where}"
 
 
 STEP_CONFIGS = [
@@ -125,18 +120,14 @@ def assert_steps_match_reference(g, acts, t, cfg, steps=3):
     """relax_step against the two-pass reference_step over a few steps from
     xbar: bit for bit when no node has two relaxing children (a chain), else
     to 1e-12, since a multi-child sum is taken in another order."""
-    s, ref = init_state(g, acts, t, cfg), init_state(g, acts, t, cfg)
-    for it in range(steps):
-        relax_step(g, s, cfg, iteration=it)
-        reference_step(g, ref, cfg)
+    errs, s, ref = step_vs_reference(g, acts, t, cfg, steps)
     children = [sum(p == i for ps in g.parent_ids for p in ps) for i in range(len(g.nodes))]
     if all(n <= 1 for i, n in enumerate(children) if i != g.input):
         for a, b in zip(s.x, ref.x):
             np.testing.assert_array_equal(a, b)
         assert s.last_max_dx == ref.last_max_dx
     else:
-        for a, b in zip(s.x, ref.x):
-            assert rel_error(a, b) <= 1e-12
+        assert max(errs.values()) <= 1e-12
         scale = max(float(np.max(np.abs(a))) for a in ref.x)
         assert abs(s.last_max_dx - ref.last_max_dx) <= 1e-12 * scale
 
@@ -476,14 +467,6 @@ READ_VARIANTS = {
 }
 
 
-def read_by_updates(g, cfg) -> set:
-    """What weight_update and psi_update read of the relaxed state."""
-    read = set(g.parametric_ids())
-    if cfg.unfreeze_weight_deriv or cfg.unfreeze_weight_activity:
-        read |= {p for j in g.parametric_ids() for p in g.parent_ids[j]}
-    return read
-
-
 class TestReadSet:
     """run_relaxation computes only what its read set needs."""
 
@@ -514,10 +497,8 @@ class TestReadSet:
         ("skip_dag", "relax_and_weight_deriv", [0, 0, 5, 5, 5]),
     ])
     def test_vjp_calls_per_node(self, monkeypatch, name, variant, calls):
-        rng = Rng(90)
         spec = skip_dag_spec() if name == "skip_dag" else models.reduced_spec(models.ModelSpec(name))
-        g = build(spec, rng)
-        x, t = random_case(g, rng, 2)
+        g, x, t = spec_case(spec, 90, 2)
         acts = forward(g, x)
         seen = [0] * len(g.nodes)
         for j, node in enumerate(g.nodes):
@@ -546,28 +527,32 @@ class TestReadSet:
         for i in range(len(g.nodes)):
             np.testing.assert_array_equal(s.x[i], want.x[i] if i in read else before[i])
 
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize("entry", ["relax_step", "run_relaxation"])
+    def test_read_id_outside_the_graph_is_rejected(self, entry, bad):
+        g, x, t = GRAPHS["diamond"]()      # six nodes
+        acts = forward(g, x)
+        cfg = ARConfig(n_iters=3)
+        with pytest.raises(ValueError, match=rf"^node ids \[{bad}\] are not in this graph's range\(6\)$"):
+            if entry == "relax_step":
+                relax_step(g, init_state(g, acts, t, cfg), cfg, read={1, bad})
+            else:
+                run_relaxation(g, acts, t, cfg, read={1, bad})
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(conv_dags(), st.sampled_from(sorted(READ_VARIANTS)), st.sampled_from([1, 3, 30]))
     def test_default_read_set_matches_every_node(self, case, variant, n_iters):
         spec, seed, batch = case
         g, x, t = spec_case(spec, seed, batch)
-        acts = forward(g, x)
         cfg = ARConfig(n_iters=n_iters, **READ_VARIANTS[variant])
-        got = run_relaxation(g, acts, t, cfg)
-        want = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
-        read = read_by_updates(g, cfg)
+        errs, got, want = default_read_vs_all(g, forward(g, x), t, cfg)
         for i in range(len(g.nodes)):
-            if i in read or i == g.input:
+            if i in errs:
                 np.testing.assert_array_equal(got.x[i], want.x[i])
             else:
                 assert got.x[i] is None, f"node {i}"
         assert got.last_max_dx <= want.last_max_dx
-        updates = [weight_update, psi_update] if cfg.backwards_mode == "learned_psi" else [weight_update]
-        for update in updates:
-            dg, dw = update(g, got, cfg), update(g, want, cfg)
-            assert dg.keys() == dw.keys()
-            for j in dw:
-                np.testing.assert_array_equal(dg[j], dw[j])
+        assert_deltas_equal(update_errors(g, cfg, got, want)[1])
 
 
 # unfrozen settings under which run_relaxation relaxes an input-fed node in
@@ -620,13 +605,12 @@ class TestInputFedNode:
                 calls = []
                 with monkeypatch.context() as m:
                     m.setattr(g.nodes[c], "vjp", lambda *a, _vjp=g.nodes[c].vjp: calls.append(1) or _vjp(*a))
-                    got = run_relaxation(g, acts, t, cfg, read=read)
+                    errs, got, _ = run_vs_steps(g, acts, t, cfg, read, want)
                 assert len(calls) == (2 if tracked else n_iters)
-                assert rel_error(got.x[1], want.x[1]) <= (1e-12 if tracked else 0.0)
+                assert errs[1] <= (1e-12 if tracked else 0.0)
                 # the other nodes never read node 1's activity before the last step
-                for i in set(range(len(g.nodes))) - {1}:
-                    if got.x[i] is not None:
-                        np.testing.assert_array_equal(got.x[i], want.x[i])
+                for i in errs.keys() - {1}:
+                    np.testing.assert_array_equal(got.x[i], want.x[i])
 
     def test_overflowing_tracked_z_is_a_divergence(self):
         # dense-scoped learned psi of 1e308 sends node 2's first step into
@@ -695,12 +679,10 @@ class TestOuterCache:
         s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
         first = weight_update(g, s, cfg)
         relax_step(g, s, cfg, iteration=cfg.n_iters)
-        second = weight_update(g, s, cfg)
-        fresh = init_state(g, acts, t, cfg)
-        fresh.x = [a.copy() for a in s.x]
-        want = weight_update(g, fresh, cfg)
-        for j in want:
-            np.testing.assert_array_equal(second[j], want[j])
+        _, deltas = updates_vs_fresh(g, acts, t, s, cfg)
+        assert_deltas_equal(deltas)
+        second = deltas["weight_update"][0]
+        for j in first:
             assert not np.array_equal(second[j], first[j])
 
     @pytest.mark.parametrize("variant", [
@@ -716,13 +698,7 @@ class TestOuterCache:
         s = run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
         weight_update(g, s, cfg)
         psi_update(g, s, cfg)
-        other = replace(cfg, **variant)
-        fresh = init_state(g, acts, t, other)
-        fresh.x = [a.copy() for a in s.x]
-        for update in (weight_update, psi_update):
-            got, want = update(g, s, other), update(g, fresh, other)
-            for j in want:
-                np.testing.assert_array_equal(got[j], want[j])
+        assert_deltas_equal(updates_vs_fresh(g, acts, t, s, replace(cfg, **variant))[1])
 
 
 class TestRelaxedActivityUpdate:
@@ -825,9 +801,7 @@ class TestConvergence:
             assert worst <= 1e-6, f"seed {seed}: {worst}"
 
     def test_skip_dag_equilibrium_matches_oracle(self):
-        rng = Rng(30)
-        g = build(skip_dag_spec(width=8, class_count=4), rng)
-        x, t = random_case(g, rng, 4)
+        g, x, t = spec_case(skip_dag_spec(width=8, class_count=4), 30, 4)
         acts = forward(g, x)
         grads = backprop(g, acts, t)
         s = run_relaxation(g, acts, t, ARConfig(n_iters=500), read=range(len(g.nodes)))
@@ -835,7 +809,6 @@ class TestConvergence:
         assert worst <= 1e-6
 
     def test_conv_graph_equilibrium_matches_oracle(self):
-        rng = Rng(31)
         spec = [
             {"kind": "input", "shape": (2, 8, 8)},
             {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
@@ -843,8 +816,7 @@ class TestConvergence:
             {"kind": "flatten"},
             {"kind": "dense", "units": 4, "activation": "linear"},
         ]
-        g = build(spec, rng)
-        x, t = random_case(g, rng, 3)
+        g, x, t = spec_case(spec, 31, 3)
         acts = forward(g, x)
         grads = backprop(g, acts, t)
         s = run_relaxation(g, acts, t, ARConfig(n_iters=500), read=range(len(g.nodes)))
@@ -922,9 +894,7 @@ class TestWeightUpdate:
             {"kind": "dense", "units": 5, "activation": "linear"},
             {"kind": "dense", "units": 3, "activation": "linear"},
         ]
-        rng = Rng(50)
-        g = build(spec, rng)
-        x, t = random_case(g, rng, 3)
+        g, x, t = spec_case(spec, 50, 3)
         acts = forward(g, x)
         exact = ARConfig(n_iters=100, nonlinearity_mode="exact")
         dropped = ARConfig(n_iters=100, nonlinearity_mode="dropped")
@@ -1074,15 +1044,13 @@ class TestVariants:
             np.testing.assert_array_equal(pd[j], wd[j].T * (cfg.eta_psi / cfg.eta_theta))
 
     def test_conv_psi_mirror_is_kernel_shaped(self):
-        rng = Rng(73)
         spec = [
             {"kind": "input", "shape": (2, 6, 6)},
             {"kind": "conv", "out_channels": 3, "kernel": 3, "activation": "tanh"},
             {"kind": "flatten"},
             {"kind": "dense", "units": 3, "activation": "linear"},
         ]
-        g = build(spec, rng)
-        x, t = random_case(g, rng, 2)
+        g, x, t = spec_case(spec, 73, 2)
         acts = forward(g, x)
         cfg = ARConfig(n_iters=100, backwards_mode="learned_psi")
         s = run_relaxation(g, acts, t, cfg)
@@ -1100,15 +1068,13 @@ class TestVariants:
             psi_update(g, s, cfg)
 
     def test_backwards_scope_limits_psi_to_node_class(self):
-        rng = Rng(75)
         spec = [
             {"kind": "input", "shape": (2, 6, 6)},
             {"kind": "conv", "out_channels": 2, "kernel": 3, "activation": "tanh"},
             {"kind": "flatten"},
             {"kind": "dense", "units": 3, "activation": "linear"},
         ]
-        g = build(spec, rng)
-        x, t = random_case(g, rng, 2)
+        g, x, t = spec_case(spec, 75, 2)
         acts = forward(g, x)
         cfg = ARConfig(n_iters=20, backwards_mode="learned_psi", backwards_scope="conv")
         s = run_relaxation(g, acts, t, cfg)
