@@ -393,7 +393,6 @@ class _InputFed:
         """Set x_p to its activity after `steps` steps."""
         sent = self.node.vjp(self.u, s.saved[self.c], self.back)[self.slot]
         s.x[self.p] = (1.0 - eta) ** steps * s.xbar[self.p] + sent
-        s.outers.clear()
 
 
 def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -> RelaxState:

@@ -1,9 +1,10 @@
 """Helpers shared by the test modules: synthetic datasets written in the
 real on-disk formats, the real-dataset gate, the small graphs and scoped
-variant settings that more than one module uses, a hypothesis strategy for
-random conv/pool/add DAGs, and written-out references to check the
-library against: a relaxation step, max pooling and its scatter, and the
-stacked finite differences with one node forward per perturbation.
+variant settings that more than one module uses, every shape of a small
+conv/pool/add DAG and a runner that checks each one, and written-out
+references to check the library against: a relaxation step, max pooling
+and its scatter, and the stacked finite differences with one node forward
+per perturbation.
 
 It also holds one comparator per engine property: run_relaxation against
 relax_step taken T times, relax_step against reference_step, the updates
@@ -21,12 +22,12 @@ actual files (the package never downloads data).
 """
 
 import gzip
+import itertools
 import os
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from arelax import data as data_mod
 from arelax import oracle, relaxation
@@ -176,39 +177,67 @@ SCOPED_CONFIGS = [
 ]
 
 
-@st.composite
-def conv_dags(draw):
-    """A random small DAG of conv, maxpool, flatten, add and dense nodes,
-    with the seed and batch to draw its weights and case from."""
-    channels, side = draw(st.integers(1, 2)), draw(st.sampled_from([4, 6]))
-    spec = [{"kind": "input", "shape": (channels, side, side)}]
+def conv_dags():
+    """Every shape of a small DAG of conv, maxpool, flatten, add and dense
+    nodes: one per setting of its five branch choices (an add fed by the
+    input, a conv skip, a maxpool, a dense skip, an extra dense node), each
+    with the seed and batch to draw its weights and case from. So that every
+    size appears, sizes drawn together (channels and side, out-channels and
+    kernel, head units and batch) cycle through the product of their values,
+    and conv activations and extra dense units through theirs."""
+    inputs = itertools.cycle(itertools.product([1, 2], [4, 6]))
+    convs = itertools.cycle(itertools.product([1, 2, 3], [1, 3]))
+    heads = itertools.cycle(itertools.product([2, 3], [1, 2, 3]))
+    activations = itertools.cycle(["tanh", "linear"])
+    units = itertools.cycle(range(1, 6))
+    dags = []
+    for seed, (from_input, conv_skip, pool, dense_skip, extra) in enumerate(
+            itertools.product([False, True], repeat=5)):
+        channels, side = next(inputs)
+        spec = [{"kind": "input", "shape": (channels, side, side)}]
 
-    def add(item, *parents):
-        spec.append({**item, "parents": list(parents)})
-        return len(spec) - 1
+        def add(item, *parents):
+            spec.append({**item, "parents": list(parents)})
+            return len(spec) - 1
 
-    def conv(parent, out_channels, kernel):
-        return add({"kind": "conv", "out_channels": out_channels, "kernel": kernel,
-                    "activation": draw(st.sampled_from(["tanh", "linear"]))}, parent)
-    top = 0
-    if draw(st.booleans()):     # an add fed by the input
-        top = add({"kind": "add"}, 0, conv(0, channels, 1))
-    co, kernel = draw(st.integers(1, 3)), draw(st.sampled_from([1, 3]))
-    top = conv(top, co, kernel)
-    side -= kernel - 1          # odd kernels keep the side even for maxpool
-    if draw(st.booleans()):     # a conv skip branch
-        top = add({"kind": "add"}, top, conv(top, co, 1))
-    if draw(st.booleans()):
-        top = add({"kind": "maxpool"}, top)
-        side //= 2
-    top = add({"kind": "flatten"}, top)
-    if draw(st.booleans()):     # a dense skip branch
-        top = add({"kind": "add"}, top, add({"kind": "dense", "units": co * side * side,
-                                            "activation": "tanh"}, top))
-    if draw(st.booleans()):
-        top = add({"kind": "dense", "units": draw(st.integers(1, 5)), "activation": "tanh"}, top)
-    add({"kind": "dense", "units": draw(st.integers(2, 3)), "activation": "linear"}, top)
-    return spec, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
+        def conv(parent, out_channels, kernel):
+            return add({"kind": "conv", "out_channels": out_channels, "kernel": kernel,
+                        "activation": next(activations)}, parent)
+        top = 0
+        if from_input:
+            top = add({"kind": "add"}, 0, conv(0, channels, 1))
+        co, kernel = next(convs)
+        top = conv(top, co, kernel)
+        side -= kernel - 1      # odd kernels keep the side even for maxpool
+        if conv_skip:
+            top = add({"kind": "add"}, top, conv(top, co, 1))
+        if pool:
+            top = add({"kind": "maxpool"}, top)
+            side //= 2
+        top = add({"kind": "flatten"}, top)
+        if dense_skip:
+            top = add({"kind": "add"}, top, add({"kind": "dense", "units": co * side * side,
+                                                "activation": "tanh"}, top))
+        if extra:
+            top = add({"kind": "dense", "units": next(units), "activation": "tanh"}, top)
+        head, batch = next(heads)
+        add({"kind": "dense", "units": head, "activation": "linear"}, top)
+        dags.append((spec, seed, batch))
+    return dags
+
+
+def on_every_conv_dag(check, *params):
+    """check(g, x, t, *picks) on each conv_dags() shape, built by spec_case,
+    where the picks cycle round-robin through the product of the lists in
+    params. A failing assertion names the shape and its picks."""
+    combos = list(itertools.product(*params))
+    for k, (spec, seed, batch) in enumerate(conv_dags()):
+        picks = combos[k % len(combos)]
+        try:
+            check(*spec_case(spec, seed, batch), *picks)
+        except AssertionError as e:
+            kinds = " ".join(item["kind"] for item in spec)
+            raise AssertionError(f"conv_dags()[{k}] ({kinds}; seed {seed}, batch {batch}), picks {picks}: {e}") from e
 
 
 def spec_case(spec, seed: int, batch: int):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from arelax.graph import AddNode, GraphError, build, forward
 from arelax.harness import skip_dag_spec
 from arelax.tensor import NonFiniteError, Rng, ShapeError
 
-from arelax_testkit import ADD_FROM_INPUT_SPEC, CONV_POOL_SPEC, TWO_CONV_POOL_SPEC, scalar_chain
+from arelax_testkit import ADD_FROM_INPUT_SPEC, CONV_POOL_SPEC, TWO_CONV_POOL_SPEC, conv_dags, scalar_chain
 
 
 class TestBuild:
@@ -148,6 +149,19 @@ class TestBuild:
         for j in g.parametric_ids():
             node = g.nodes[j]
             assert node.psi.shape == node.weight.T.shape
+
+
+def test_conv_dags_has_every_branch_setting_and_size():
+    # the shapes the property tests run on: one kind sequence per setting of
+    # the five branch choices, and every value of each size
+    dags = conv_dags()
+    assert len({tuple(item["kind"] for item in spec) for spec, _, _ in dags}) == len(dags) == 32
+    convs = [item for spec, _, _ in dags for item in spec if item["kind"] == "conv"]
+    assert {spec[0]["shape"] for spec, _, _ in dags} == {(c, s, s) for c in (1, 2) for s in (4, 6)}
+    assert {(item["out_channels"], item["kernel"]) for item in convs} == set(itertools.product([1, 2, 3], [1, 3]))
+    assert {item["activation"] for item in convs} == {"tanh", "linear"}
+    assert {spec[-2]["units"] for spec, _, _ in dags if spec[-2]["kind"] == "dense"} == {1, 2, 3, 4, 5}
+    assert {(spec[-1]["units"], batch) for spec, _, batch in dags} == set(itertools.product([2, 3], [1, 2, 3]))
 
 
 class TestAdjacency:

@@ -3,8 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arelax import models, relaxation, tensor
 from arelax.graph import ConvNode, DenseNode, InputNode, MaxPoolNode, build, forward
@@ -35,8 +33,8 @@ from arelax_testkit import (
     CONV_POOL_SPEC,
     SCOPED_CONFIGS,
     TWO_CONV_POOL_SPEC,
-    conv_dags,
     default_read_vs_all,
+    on_every_conv_dag,
     run_vs_steps,
     scalar_chain,
     spec_case,
@@ -193,12 +191,9 @@ class TestRelaxStep:
             for cfg in STEP_CONFIGS:
                 assert_steps_match_reference(g, forward(g, x), t, cfg)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(conv_dags(), st.sampled_from(STEP_CONFIGS))
-    def test_synchronous_update_matches_reference_on_random_dags(self, case, cfg):
-        spec, seed, batch = case
-        g, x, t = spec_case(spec, seed, batch)
-        assert_steps_match_reference(g, forward(g, x), t, cfg)
+    def test_synchronous_update_matches_reference_on_random_dags(self):
+        on_every_conv_dag(lambda g, x, t, cfg: assert_steps_match_reference(g, forward(g, x), t, cfg),
+                          STEP_CONFIGS)
 
     def test_frozen_quantities_unchanged_across_steps(self):
         g, x, t = random_mlp(1)
@@ -313,12 +308,10 @@ class TestClosedForm:
         for n_iters in sorted({1, 2, d, d + 1, 50, 100, 500}):
             assert_engines_agree(g, acts, t, ARConfig(eta_x=eta_x, n_iters=n_iters))
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(conv_dags(), st.sampled_from([1, 2, 7, 30]), st.sampled_from([0.1, 0.5, 1.0]))
-    def test_matches_step_by_step_on_random_dags(self, case, n_iters, eta_x):
-        spec, seed, batch = case
-        g, x, t = spec_case(spec, seed, batch)
-        assert_engines_agree(g, forward(g, x), t, ARConfig(eta_x=eta_x, n_iters=n_iters))
+    def test_matches_step_by_step_on_random_dags(self):
+        def check(g, x, t, n_iters, eta_x):
+            assert_engines_agree(g, forward(g, x), t, ARConfig(eta_x=eta_x, n_iters=n_iters))
+        on_every_conv_dag(check, [1, 2, 7, 30], [0.1, 0.5, 1.0])
 
     @pytest.mark.parametrize("variant", [
         {"backwards_mode": "learned_psi"},
@@ -539,20 +532,18 @@ class TestReadSet:
             else:
                 run_relaxation(g, acts, t, cfg, read={1, bad})
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(conv_dags(), st.sampled_from(sorted(READ_VARIANTS)), st.sampled_from([1, 3, 30]))
-    def test_default_read_set_matches_every_node(self, case, variant, n_iters):
-        spec, seed, batch = case
-        g, x, t = spec_case(spec, seed, batch)
-        cfg = ARConfig(n_iters=n_iters, **READ_VARIANTS[variant])
-        errs, got, want = default_read_vs_all(g, forward(g, x), t, cfg)
-        for i in range(len(g.nodes)):
-            if i in errs:
-                np.testing.assert_array_equal(got.x[i], want.x[i])
-            else:
-                assert got.x[i] is None, f"node {i}"
-        assert got.last_max_dx <= want.last_max_dx
-        assert_deltas_equal(update_errors(g, cfg, got, want)[1])
+    def test_default_read_set_matches_every_node(self):
+        def check(g, x, t, variant, n_iters):
+            cfg = ARConfig(n_iters=n_iters, **READ_VARIANTS[variant])
+            errs, got, want = default_read_vs_all(g, forward(g, x), t, cfg)
+            for i in range(len(g.nodes)):
+                if i in errs:
+                    np.testing.assert_array_equal(got.x[i], want.x[i])
+                else:
+                    assert got.x[i] is None, f"node {i}"
+            assert got.last_max_dx <= want.last_max_dx
+            assert_deltas_equal(update_errors(g, cfg, got, want)[1])
+        on_every_conv_dag(check, sorted(READ_VARIANTS), [1, 3, 30])
 
 
 # unfrozen settings under which run_relaxation relaxes an input-fed node in
@@ -1132,12 +1123,10 @@ class TestVariants:
         for cfg in STEP_CONFIGS:
             assert relaxes_to_variant_oracle(g, forward(g, x), t, cfg) <= 1e-12, cfg
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(conv_dags(), st.sampled_from(STEP_CONFIGS))
-    def test_relaxes_to_the_variant_oracle_on_random_dags(self, case, cfg):
-        spec, seed, batch = case
-        g, x, t = spec_case(spec, seed, batch)
-        assert relaxes_to_variant_oracle(g, forward(g, x), t, cfg) <= 1e-12
+    def test_relaxes_to_the_variant_oracle_on_random_dags(self):
+        def check(g, x, t, cfg):
+            assert relaxes_to_variant_oracle(g, forward(g, x), t, cfg) <= 1e-12
+        on_every_conv_dag(check, STEP_CONFIGS)
 
 
 def train_learned_psi(model: str, scope: str, eta_psi_factor: float, steps: int = 30):
