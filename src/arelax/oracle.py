@@ -89,12 +89,19 @@ def backprop(g: Graph, acts: Sweep, target, *, read=None, back=None, fprime=None
 
 
 # Bytes of stacked activations one finite-difference chunk may hold: the
-# perturbed copies of node j's activation plus every activation evaluated
-# or tiled below it. Small, so that a gradient check's peak memory stays
-# within about 1 MB of the per-perturbation loop's; larger chunks gain
-# little speed. A weight's column products add 2 * weight.size copies of
-# one channel of its node's pre-activation while that node's chunks run:
-# 0.8 MB for reduced mlp4's first layer at batch 4.
+# perturbed copies of node j's activation plus every activation that the
+# chunk evaluates or tiles below it and allocates (a flatten's is a view of
+# its parent's). Larger chunks gain little speed. The bound covers
+# activations only, and two kinds of buffer come on top of it:
+# - A conv node below j adds its input's im2col columns, C_in*kH*kW*H'*W'
+#   doubles per copy. For reduced cnn's conv 1 that is 75 x 784 (0.47 MB), so
+#   its input chunks (4 pairs) peak at about 4.4 MB at batch 2. Chunks are
+#   not shrunk to fit: one pair per chunk made its input differences no
+#   faster.
+# - A weight's column products add 2 * weight.size copies of one channel of
+#   its node's pre-activation while that node's chunks run. That is 0.8 MB
+#   for reduced mlp4's first layer at batch 4, which sets the 1.8 MB peak of
+#   its whole check.
 FD_CHUNK_BYTES = 1 << 19
 
 
@@ -116,12 +123,13 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     A weight is perturbed a column at a time: all output rows o of one
     input index k (for a conv kernel, one (c, u, v)) are set to v+h, node
     j's linear runs once on the input the sweep saved, the same for v-h,
-    and the column is restored (also when linear raises). Row o of the
-    weight feeds only channel o, so channel o of that product is the
-    pre-activation with entry (o, k) perturbed alone, from the same GEMM
-    arithmetic. Each column's two products are computed once per node,
-    and the copy of entry (o, k) is node j's unperturbed pre-activation with
-    channel o taken from them.
+    and the column is set back; the whole weight is restored at the end,
+    also when linear raises, and stays the same array in the same memory
+    order. Row o of the weight feeds only channel o, so channel o of that
+    product is the pre-activation with entry (o, k) perturbed alone, from
+    the same GEMM arithmetic. Each column's two products are computed once
+    per node, and the copy of entry (o, k) is node j's unperturbed
+    pre-activation with channel o taken from them.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"finite_diff: step must be positive and finite, got {h}")
@@ -141,18 +149,23 @@ def finite_diff(g: Graph, x, target, h: float = 1e-5) -> GradientSet:
     return grads
 
 
-def _chunk_plan(g: Graph, batch: int, j: int, size: int) -> tuple[list[int], set[int], int, int]:
+def _chunk_plan(g: Graph, acts: Sweep, j: int, size: int) -> tuple[list[int], set[int], int, int]:
     """How finite_diff stacks node j's size perturbed entries: the nodes
     below j that each chunk runs, the other parents they read (the
     unperturbed activation, tiled; none for the input, which every node
     lies below), the rows per copy (batch for a weight entry, 1 for an
     input coordinate) and the +h/-h pairs per chunk, at most FD_CHUNK_BYTES
-    of stacked activations and at least one pair."""
+    of stacked activations and at least one pair. Only the stacks a chunk
+    allocates count: node j's, the tiled parents' and those of the nodes
+    below j, except a node whose activation in the sweep is a view of a
+    parent's (a flatten's reshape), as it is in the chunk's run."""
     below = g.below([j])
     tiled = {p for i in below for p in g.parent_ids[i]} - set(below) - {j}
+    batch = len(acts[j])
     rows = 1 if j == g.input else batch
     assert rows == batch or not tiled
-    copy_bytes = 8 * rows * sum(int(np.prod(g.shapes[i])) for i in (j, *below, *tiled))
+    held = [i for i in below if not any(np.shares_memory(acts[i], acts[p]) for p in g.parent_ids[i])]
+    copy_bytes = 8 * rows * sum(int(np.prod(g.shapes[i])) for i in (j, *held, *tiled))
     return below, tiled, rows, max(1, min(FD_CHUNK_BYTES // (2 * copy_bytes), size))
 
 
@@ -160,21 +173,27 @@ def _column_fill(node, saved: Tensor, shape: tuple[int, ...], h: float):
     """fill for the entries of node's weight, whose pre-activation on the
     sweep's saved input has the given shape. Each column's +h and -h
     products are computed once, before the first chunk, and every chunk
-    that holds an entry of that column reads its channel from them."""
+    that holds an entry of that column reads its channel from them.
+
+    The weight's +h and -h copies are made once; column k is set from them
+    and then from the original by basic-index assignment, which writes
+    into the weight itself whatever its memory layout, and the whole
+    weight is restored at the end, also when linear raises."""
     w = node.weight
     cols = w[0].size
     prods = np.empty((cols, 2, *shape))
-    for k in range(cols):
-        # basic indexing, so a view of the weight itself whatever its layout
-        col = w[(slice(None), *np.unravel_index(k, w.shape[1:]))]
-        orig = col.copy()
-        try:
-            col[...] = orig + h
+    orig = w.copy()
+    plus, minus = orig + h, orig - h
+    try:
+        for k, col in enumerate(np.ndindex(w.shape[1:])):
+            col = (slice(None), *col)
+            w[col] = plus[col]
             node.linear(saved, out=prods[k, 0])
-            col[...] = orig - h
+            w[col] = minus[col]
             node.linear(saved, out=prods[k, 1])
-        finally:
-            col[...] = orig
+            w[col] = orig[col]
+    finally:
+        w[...] = orig
     base = node.linear(saved)
 
     def fill(out: Tensor, k0: int, n: int) -> slice:
@@ -210,7 +229,7 @@ def _central_diff(g: Graph, acts: Sweep, target: Tensor, j: int, shape: tuple[in
     the 2n copies are scored against; activate maps a whole stack at once."""
     size = int(np.prod(shape))
     batch = acts[j].shape[0]
-    below, tiled, rows, pairs = _chunk_plan(g, batch, j, size)
+    below, tiled, rows, pairs = _chunk_plan(g, acts, j, size)
     stack = np.empty((2 * pairs, rows, *g.shapes[j]))
     grad = np.empty(size)
     for k0 in range(0, size, pairs):

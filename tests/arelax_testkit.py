@@ -388,7 +388,7 @@ def reference_stacked_finite_diff(g, x, target, h=1e-5):
     acts = forward(g, x)
 
     def central(j, v, at, scored):
-        below, tiled, _, pairs = oracle._chunk_plan(g, len(x), j, v.size)
+        below, tiled, _, pairs = oracle._chunk_plan(g, acts, j, v.size)
         grad = np.empty(v.size)
         for k0 in range(0, v.size, pairs):
             copies, ks = [], range(k0, min(k0 + pairs, v.size))

@@ -22,7 +22,7 @@ import pytest
 from arelax import oracle, relaxation, tensor
 from arelax.graph import ConvNode, DenseNode, Graph, MaxPoolNode, _Parametric, build, forward
 from arelax.harness import (ExperimentConfig, GradcheckEntry, GradcheckOptions, _check_graph, _fd_entry,
-                            rel_error, variant_substitutions)
+                            rel_error, skip_dag_spec, variant_substitutions)
 from arelax.models import ModelSpec, reduced_spec
 from arelax.oracle import backprop
 from arelax.relaxation import BACKWARDS_MODES, ARConfig
@@ -39,6 +39,33 @@ def oracle_vs_fd():
     g, x, target = spec_case(CONV_POOL_SPEC, 41, 2)
     grads = backprop(g, forward(g, x), target)
     return _fd_entry("conv_pool", g, x, target, grads, GradcheckOptions())
+
+
+def fd_plan_vs_graph():
+    """finite_diff's chunk plan for each weight and the input of the skip
+    DAG against the graph: a chunk must run every node that depends on the
+    perturbed node j, each after its parents, and must not tile one of
+    them. A plan that leaves a node out makes the chunk read its
+    unperturbed activation, which mostly fails on shape rather than giving
+    a wrong difference. The error is the number of nodes run, left out,
+    tiled or ordered wrongly, over j's dependants."""
+    g, x, _ = spec_case(skip_dag_spec(), 43, 2)
+    acts = forward(g, x)
+    errs = {}
+    for j in [*g.parametric_ids(), g.input]:
+        below, tiled, _, _ = oracle._chunk_plan(g, acts, j, 1)
+        dependants, reach = set(), [j]
+        while reach:
+            new = set(g.children[reach.pop()]) - dependants
+            dependants |= new
+            reach.extend(new)
+        wrong, ready = len(dependants.symmetric_difference(below)) + len(dependants & tiled), {j, *tiled}
+        for i in below:
+            wrong += not ready.issuperset(g.parent_ids[i])
+            ready.add(i)
+        errs[j] = wrong / max(1, len(dependants))
+    worst = max(errs, key=errs.get)
+    return GradcheckEntry("skip_dag", "fd_plan_vs_graph", errs[worst], 0.0, worst)
 
 
 def relaxation_case():
@@ -211,7 +238,7 @@ def updates_vs_oracle():
     return worst_entry("updates_vs_oracle", errs, 1e-9)
 
 
-CHECKS = {f.__name__: f for f in (oracle_vs_fd, steps_vs_reference, closed_form_vs_steps,
+CHECKS = {f.__name__: f for f in (oracle_vs_fd, fd_plan_vs_graph, steps_vs_reference, closed_form_vs_steps,
                                   unfrozen_vs_steps, updates_vs_fresh_state, ar_vs_variant_oracle,
                                   tracked_vs_steps, psi_transport_vs_col2im, updates_under_two_settings,
                                   default_read_vs_every_node, updates_vs_oracle)}
@@ -247,6 +274,43 @@ def input_fill_scoring_sample_0(bare):
         fill = bare(x, h)
         return lambda out, k0, n: np.zeros_like(fill(out, k0, n))
     return input_fill
+
+
+def column_fill_with(minus, after):
+    """oracle._column_fill written out with column k at weight + minus * h
+    for its -h product and at weight + after * h once both products are
+    taken (the code's minus and after are -1 and 0)."""
+    def column_fill(node, saved, shape, h):
+        w = node.weight
+        cols, orig = w[0].size, w.copy()
+        prods = np.empty((cols, 2, *shape))
+        try:
+            for k, col in enumerate(np.ndindex(w.shape[1:])):
+                col = (slice(None), *col)
+                for sign, step in enumerate((h, minus * h)):
+                    w[col] = orig[col] + step
+                    node.linear(saved, out=prods[k, sign])
+                w[col] = orig[col] + after * h
+        finally:
+            w[...] = orig
+        base = node.linear(saved)
+
+        def fill(out, k0, n):
+            rows, ks = np.divmod(np.arange(k0, k0 + n), cols)
+            out[...] = base
+            out[np.arange(n), :, :, rows] = prods[ks, :, :, rows]
+            return slice(None)
+        return fill
+    return column_fill
+
+
+def plan_without_last_node(bare):
+    """_chunk_plan leaving out the last node below j, the output, so a
+    chunk's losses read the unperturbed output."""
+    def chunk_plan(g, acts, j, size):
+        below, *rest = bare(g, acts, j, size)
+        return below[:-1], *rest
+    return chunk_plan
 
 
 def vjp_without_offset_00(bare):
@@ -400,6 +464,11 @@ MUTANTS = {
     "dense_vjp_x(1+1e-6)": (DenseNode, "vjp", scaled_vjp(DenseNode.vjp, 1 + 1e-6), "oracle_vs_fd"),
     "fd_input_scored_against_sample_0": (oracle, "_input_fill", input_fill_scoring_sample_0(oracle._input_fill),
                                          "oracle_vs_fd"),
+    "fd_minus_product_at_plus": (oracle, "_column_fill", column_fill_with(minus=1, after=0), "oracle_vs_fd"),
+    "fd_column_left_at_plus": (oracle, "_column_fill", column_fill_with(minus=-1, after=1), "oracle_vs_fd"),
+    # oracle_vs_fd raises on shape instead of flagging it
+    "fd_plan_drops_last_node": (oracle, "_chunk_plan", plan_without_last_node(oracle._chunk_plan),
+                                "fd_plan_vs_graph"),
     "drops_nonlinearity_ignores_scope": (relaxation, "_drops_nonlinearity",
                                          lambda node, cfg: cfg.nonlinearity_mode == "dropped",
                                          "steps_vs_reference"),

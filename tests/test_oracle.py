@@ -368,33 +368,77 @@ class TestStackedFiniteDiff:
         perturbations = 2 * (x.size + sum(g.nodes[j].weight.size for j in g.parametric_ids()))
         assert 1 <= len(sweeps) <= perturbations // 1000
 
-    @pytest.mark.parametrize("raiser,method,nth", [(2, "linear", 3), (3, "forward", 2)],
-                             ids=["perturbed_node", "downstream_node"])
-    def test_raising_forward_restores_every_weight(self, raiser, method, nth, monkeypatch):
+    @pytest.mark.parametrize("spec,order,raiser,method,nth", [
+        ("skip_dag", "C", 2, "linear", 3), ("skip_dag", "C", 3, "forward", 2), ("skip_dag", "F", 2, "linear", 10),
+        ("conv_pool", "C", 1, "linear", 9), ("conv_pool", "F", 1, "linear", 9),
+    ], ids=["perturbed_node", "downstream_node", "dense_F_mid_loop", "conv_C_mid_loop", "conv_F_mid_loop"])
+    def test_raising_forward_restores_every_weight(self, spec, order, raiser, method, nth, monkeypatch):
         """Dense node 2's GEMM, which evaluates its perturbed entries, raises
         on its third call, the first with its own weight perturbed (the
         forwards of the unperturbed sweep and of the stacked run below node
         1 call it first); the add node 3's forward on its first call after
-        the sweep."""
+        the sweep. The mid-loop cases raise at the -h product of the fourth
+        column: dense node 2's tenth GEMM call, and the conv node's ninth,
+        since its column products come right after the sweep."""
         rng = Rng(37)
-        g = build(skip_dag_spec(), rng)
+        g = build(skip_dag_spec() if spec == "skip_dag" else CONV_POOL_SPEC, rng)
         x, t = random_case(g, rng, 4)
+        for j in g.parametric_ids():
+            g.nodes[j].weight = np.asarray(g.nodes[j].weight, order=order)
         before = {j: g.nodes[j].weight.tobytes() for j in g.parametric_ids()}
+        kept = weight_record(g)
         x_before = x.tobytes()
         node = g.nodes[raiser]
         calls = []
 
         def flaky(*args, bare=getattr(node, method), **kwargs):
-            calls.append(1)
+            calls.append(kwargs)
             if len(calls) == nth:
                 raise NonFiniteError("injected")
             return bare(*args, **kwargs)
         monkeypatch.setattr(node, method, flaky)
         with pytest.raises(NonFiniteError, match="injected"):
             finite_diff(g, x, t)
+        # a GEMM called with out= is one of the column loop's products
+        assert ("out" in calls[-1]) == (method == "linear")
         for j, b in before.items():
             assert g.nodes[j].weight.tobytes() == b, j
+        assert_weights_kept(g, kept)
         assert x.tobytes() == x_before
+
+    @pytest.mark.parametrize("name,j,pairs", [("reduced_mlp4", 0, 39), ("conv_pool", 1, 260)],
+                             ids=["reduced_mlp4_input", "conv_pool_conv"])
+    def test_chunk_plan_counts_only_what_a_chunk_allocates(self, name, j, pairs):
+        """A chunk runs the flatten below j, but its stacked activation is a
+        view of its parent's, so the plan does not count it. A pair of
+        reduced mlp4's input copies then holds 2 x 834 values of one row,
+        39 pairs to FD_CHUNK_BYTES (20 with the flatten's 784 counted), and
+        a pair of the conv/pool graph's conv-node copies 2 x 63 values per
+        row at batch 2, 260 pairs (218 with the flatten's 12)."""
+        spec = models.reduced_spec(models.ModelSpec("mlp4")) if name == "reduced_mlp4" else CONV_POOL_SPEC
+        rng = Rng(44)
+        g = build(spec, rng)
+        x, _ = random_case(g, rng, 2)
+        below, tiled, rows, got = oracle._chunk_plan(g, forward(g, x), j, 10 * pairs)
+        assert sum(isinstance(g.nodes[i], FlattenNode) for i in below) == 1
+        assert (tiled, rows, got) == (set(), 1 if j == g.input else len(x), pairs)
+
+
+def weight_record(g) -> dict:
+    """Per parametric node, its weight object, bytes in memory order and
+    contiguity flags."""
+    weights = {j: g.nodes[j].weight for j in g.parametric_ids()}
+    return {j: (w, w.tobytes("A"), w.flags.c_contiguous, w.flags.f_contiguous) for j, w in weights.items()}
+
+
+def assert_weights_kept(g, record: dict) -> None:
+    """Each weight is the object weight_record saw, with the same bytes in
+    the same memory order."""
+    assert record.keys() == set(g.parametric_ids())
+    for j, (w, raw, c, f) in record.items():
+        now = g.nodes[j].weight
+        assert now is w and (now.flags.c_contiguous, now.flags.f_contiguous) == (c, f), j
+        assert now.tobytes("A") == raw, j
 
 
 def assert_same_gradients(got: GradientSet, want: GradientSet) -> None:
@@ -435,22 +479,26 @@ class TestPerEntryGemm:
         x, t = random_case(g, rng, batch)
         assert_same_gradients(finite_diff(g, x, t), reference_stacked_finite_diff(g, x, t))
 
-    def test_non_contiguous_weights(self):
-        """A Fortran-ordered dense and conv weight, which reshape would copy,
-        give the arrays their C-ordered copies give, and come back
-        byte-identical and still Fortran-ordered."""
+    @pytest.mark.parametrize("conv_order", ["C", "F"])
+    @pytest.mark.parametrize("dense_order", ["C", "F"])
+    def test_non_contiguous_weights(self, dense_order, conv_order):
+        """Dense and conv weights in C or Fortran order (which reshape would
+        copy) give the arrays their C-ordered copies give, and come back as
+        the same objects, byte-identical and in their own order."""
         rng = Rng(40)
         g = build(CONV_POOL_SPEC, rng)
         x, t = random_case(g, rng, 2)
         params = g.parametric_ids()
-        assert {type(g.nodes[j]).__name__ for j in params} == {"ConvNode", "DenseNode"}
+        order = {"DenseNode": dense_order, "ConvNode": conv_order}
+        assert {type(g.nodes[j]).__name__ for j in params} == set(order)
         for j in params:
-            g.nodes[j].weight = np.asfortranarray(g.nodes[j].weight)
-            assert not g.nodes[j].weight.flags.c_contiguous
-        before = {j: g.nodes[j].weight.tobytes("A") for j in params}
+            o = order[type(g.nodes[j]).__name__]
+            g.nodes[j].weight = np.asarray(g.nodes[j].weight, order=o)
+            assert g.nodes[j].weight.flags.c_contiguous == (o == "C")
+        kept = weight_record(g)
         fd = finite_diff(g, x, t)
+        assert_weights_kept(g, kept)
         for j in params:
-            assert g.nodes[j].weight.flags.f_contiguous and g.nodes[j].weight.tobytes("A") == before[j], j
             g.nodes[j].weight = np.ascontiguousarray(g.nodes[j].weight)
         assert_same_gradients(fd, finite_diff(g, x, t))
 
