@@ -49,8 +49,6 @@ def _check_split(split: str) -> None:
 class Dataset:
     images: Tensor        # (N, C, H, W), values in [0, 1]
     labels: Tensor        # (N, class_count), one-hot rows
-    split: str            # "train" | "test"
-    name: str
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -69,7 +67,7 @@ class Dataset:
             )
         if cap == len(self):
             return self
-        return Dataset(self.images[:cap], self.labels[:cap], self.split, self.name)
+        return Dataset(self.images[:cap], self.labels[:cap])
 
 
 def one_hot(labels: np.ndarray, class_count: int) -> Tensor:
@@ -103,11 +101,9 @@ def _read_idx(path: str, magic: int, what: str, ndim: int) -> tuple[list[int], n
     return dims, np.frombuffer(raw, dtype=np.uint8, offset=head)
 
 
-def load_idx(images_path: str, labels_path: str, name: str = "mnist", split: str = "train") -> Dataset:
+def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse an IDX image/label file pair, each read by _read_idx, into a
-    normalized Dataset; the counts must agree and every label be below 10.
-    The split must be "train" or "test"."""
-    _check_split(split)
+    normalized Dataset; the counts must agree and every label be below 10."""
     (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "image", 3)
     (nl,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", 1)
     if nl != n:
@@ -115,7 +111,7 @@ def load_idx(images_path: str, labels_path: str, name: str = "mnist", split: str
     if labels.max() > 9:
         raise DataError(f"{labels_path}: label byte {labels.max()} out of range for 10 classes")
     images = pixels.astype(np.float64).reshape(n, 1, rows, cols) / 255.0
-    return Dataset(images, one_hot(labels.astype(np.int64), 10), split, name)
+    return Dataset(images, one_hot(labels.astype(np.int64), 10))
 
 
 class _CifarVariant(NamedTuple):
@@ -159,7 +155,7 @@ def load_cifar(directory: str, variant: str, split: str = "train") -> Dataset:
         parts.append(buf)
     buf = np.concatenate(parts)
     images = buf[:, v.label_bytes:].astype(np.float64).reshape(-1, 3, 32, 32) / 255.0
-    return Dataset(images, one_hot(buf[:, v.label_bytes - 1].astype(np.int64), v.classes), split, variant)
+    return Dataset(images, one_hot(buf[:, v.label_bytes - 1].astype(np.int64), v.classes))
 
 
 class Batches(Sequence):
@@ -244,4 +240,4 @@ def load_dataset(name: str, root: str, split: str) -> Dataset:
     img, lab = (_find_idx_file(d, stem) for stem in _MNIST_FILES[split])
     if img is None or lab is None:
         raise DataError(f"missing IDX files for {name} {split} under {d}")
-    return load_idx(img, lab, name=name, split=split)
+    return load_idx(img, lab)

@@ -49,7 +49,7 @@ class GradcheckOptions:
     graphs: int = 20          # random small graphs in the suite
     batch: int = 4
     iters: int = 500          # relaxation iterations for the equilibrium check
-    tolerance: float = 1e-9   # AR equilibrium vs reverse-mode gradients
+    tolerance: float = 1e-12  # AR equilibrium vs reverse-mode gradients
     fd_tolerance: float = 1e-7
     check_model: bool = True  # also check the configured model at reduced width
 

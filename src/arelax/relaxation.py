@@ -49,7 +49,6 @@ delta into the parameter array in place.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -304,18 +303,16 @@ def relax_step(g: Graph, s: RelaxState, cfg: ARConfig, *, iteration: int = 0,
     return s
 
 
-@functools.lru_cache
 def _cascade_coefficients(steps: int, depth: int, eta: float) -> tuple[tuple[float, float], ...]:
     """(a_k, eta * c_k) for k = 0..min(depth, steps), the coefficients of
     M^S = sum_k a_k J^k and eta * sum_{t<S} M^t = sum_k eta * c_k J^k with
-    S = steps; higher powers of J vanish. Pure in its arguments, so cached:
-    a gradcheck call or a training run asks for the same few triples again
-    and again."""
-    coeffs = []
+    S = steps; higher powers of J vanish. eta * c_k is the binomial tail
+    1 - (a_0 + ... + a_k) (see run_relaxation), so it never exceeds 1."""
+    coeffs, below = [], 0.0
     for k in range(min(depth, steps) + 1):
         a = math.comb(steps, k) * (1.0 - eta) ** (steps - k) * eta ** k
-        c = math.fsum(math.comb(t, k) * (1.0 - eta) ** (t - k) for t in range(k, steps)) * eta ** k
-        coeffs.append((a, eta * c))
+        below += a
+        coeffs.append((a, 1.0 - below))
     return tuple(coeffs)
 
 
@@ -434,9 +431,12 @@ def run_relaxation(g: Graph, acts: Sweep, target, cfg: ARConfig, *, read=None) -
         x(S) = M^S xbar + eta_x sum_{t<S} M^t b = sum_{k<=K} J^k v_k,
         v_k  = a_k xbar - c_k eta_x eps_bar [output only],  K = min(D, S),
         a_k  = C(S,k) (1-eta_x)^(S-k) eta_x^k,
-        c_k  = sum_{t<S} C(t,k) (1-eta_x)^(t-k) eta_x^k,
+        c_k  = sum_{t<S} C(t,k) (1-eta_x)^(t-k) eta_x^k
+             = (1 - a_0 - ... - a_k) / eta_x,
 
-    in at most K + 1 sweeps pruned to what the last step reads
+    since eta_x c_k = P(Bin(S, eta_x) > k): term t is the chance that the
+    (k+1)-th success falls on trial t + 1. The state is computed in at most
+    K + 1 sweeps pruned to what the last step reads
     (_closed_form_advance; D(D+1)/2 transports on a chain of D + 1
     relaxing nodes) instead of S steps, and relax_step takes the last step
     over `read`, so last_max_dx and the divergence guard come from the

@@ -166,7 +166,7 @@ class TestBatches:
     def _dataset(self, n):
         imgs = np.zeros((n, 1, 2, 2))
         imgs[:, 0, 0, 0] = np.arange(n)
-        return Dataset(imgs, one_hot(np.arange(n) % 4, 4), "train", "synth")
+        return Dataset(imgs, one_hot(np.arange(n) % 4, 4))
 
     def test_sizes_with_short_final_batch(self):
         got = batches(self._dataset(100), 64, Rng(0))
@@ -188,7 +188,7 @@ class TestBatches:
             batches(self._dataset(10), 0, Rng(0))
 
     def test_batches_are_copied_only_when_read(self):
-        d = Dataset(np.zeros((2000, 1, 16, 16)), one_hot(np.arange(2000) % 4, 4), "train", "synth")
+        d = Dataset(np.zeros((2000, 1, 16, 16)), one_hot(np.arange(2000) % 4, 4))
         batch_bytes = 100 * (d.images[0].nbytes + d.labels[0].nbytes)
         tracemalloc.start()
         try:
@@ -205,10 +205,17 @@ class TestBatches:
 
 class TestLoadDataset:
     def test_by_name(self, synth_data_root):
-        d = load_dataset("mnist", synth_data_root, "train")
-        assert d.name == "mnist" and d.split == "train" and len(d) == 512
-        f = load_dataset("fashion_mnist", synth_data_root, "test")
-        assert f.name == "fashion_mnist" and f.images.shape[1:] == (1, 28, 28)
+        # the name picks the directory and the split its file pair:
+        # fashion_mnist's test arrays are those under fashion_mnist/, not mnist's
+        def files(sub, stem):
+            return load_idx(*(os.path.join(synth_data_root, sub, f"{stem}-{kind}")
+                              for kind in ("images-idx3-ubyte", "labels-idx1-ubyte")))
+        for name, split, stem in [("mnist", "train", "train"), ("fashion_mnist", "test", "t10k")]:
+            d, want = load_dataset(name, synth_data_root, split), files(name, stem)
+            np.testing.assert_array_equal(d.images, want.images)
+            np.testing.assert_array_equal(d.labels, want.labels)
+        assert len(files("mnist", "train")) == 512
+        assert not np.array_equal(files("mnist", "t10k").images, files("fashion_mnist", "t10k").images)
         c = load_dataset("cifar10", synth_data_root, "test")
         assert c.images.shape[1:] == (3, 32, 32)
         c100 = load_dataset("cifar100", synth_data_root, "train")

@@ -355,11 +355,11 @@ def fprime_at_sweep(bare):
     return lambda g, s, cfg, j, v, unfrozen: bare(g, s, cfg, j, v, False)
 
 
-def eps_bar_scaled(bare):
-    """init_state with the output error 1e-5 too large, relative."""
+def eps_bar_scaled(bare, factor):
+    """init_state with the output error scaled by factor."""
     def init_state(g, acts, target, cfg):
         s = bare(g, acts, target, cfg)
-        s.eps_bar = s.eps_bar * (1 + 1e-5)
+        s.eps_bar = s.eps_bar * factor
         return s
     return init_state
 
@@ -373,6 +373,12 @@ def cascade_one_level_short(bare):
     """_cascade_coefficients for one level fewer than the live sets reach:
     the Horner sweeps pruned one level short."""
     return lambda steps, depth, eta: bare(steps, max(depth - 1, 0), eta)
+
+
+def cascade_tail_one_term_short(bare):
+    """_cascade_coefficients with eta * c_k = 1 - (a_0 + ... + a_{k-1}), the
+    binomial tail one term short."""
+    return lambda steps, depth, eta: tuple((a, ec + a) for a, ec in bare(steps, depth, eta))
 
 
 def step_keeping_outers(bare):
@@ -481,6 +487,9 @@ MUTANTS = {
                               cascade_one_step_more(relaxation._cascade_coefficients), "closed_form_vs_steps"),
     "cascade_one_level_short": (relaxation, "_cascade_coefficients",
                                 cascade_one_level_short(relaxation._cascade_coefficients), "closed_form_vs_steps"),
+    "cascade_tail_one_term_short": (relaxation, "_cascade_coefficients",
+                                    cascade_tail_one_term_short(relaxation._cascade_coefficients),
+                                    "closed_form_vs_steps"),
     "relax_step_keeps_outers": (relaxation, "relax_step", step_keeping_outers(relaxation.relax_step),
                                 "updates_vs_fresh_state"),
     # run_relaxation's unfrozen steps before the last reach the read set alone
@@ -491,9 +500,12 @@ MUTANTS = {
                                  "ar_vs_variant_oracle"),
     "unfrozen_fprime_at_sweep_in_steps": (relaxation, "_scale_by_fprime",
                                           fprime_at_sweep(relaxation._scale_by_fprime), "steps_vs_reference"),
-    # within 1e-3, so only the tightened gate flags it
-    "eps_bar_x(1+1e-5)": (relaxation, "init_state", eps_bar_scaled(relaxation.init_state),
+    # within 1e-3 and within 1e-9: only the gate tightened to 1e-9 flags the
+    # first, only the one tightened to 1e-12 the second
+    "eps_bar_x(1+1e-5)": (relaxation, "init_state", eps_bar_scaled(relaxation.init_state, 1 + 1e-5),
                           "ar_vs_variant_oracle"),
+    "eps_bar_x(1+1e-11)": (relaxation, "init_state", eps_bar_scaled(relaxation.init_state, 1 + 1e-11),
+                           "ar_vs_variant_oracle"),
     "tracked_gram_from_weight": (relaxation._InputFed, "__init__", gram_from_weight(relaxation._InputFed.__init__),
                                  "tracked_vs_steps"),
     "tracked_rebuild_one_decay_short": (relaxation._InputFed, "rebuild",

@@ -168,7 +168,7 @@ class TestTraining:
         images = rng.uniform((6, 1, 2, 2), -1.0, 1.0)
         images[2:4] = 1e308     # the second batch's pre-activation overflows
         labels = np.eye(2)[[0, 1, 0, 0, 1, 1]]
-        loss, acc = evaluate(g, Dataset(images, labels, "test", "synth"), 2)
+        loss, acc = evaluate(g, Dataset(images, labels), 2)
         assert loss == math.inf
         # the other two batches count as they would alone
         want = 0.0

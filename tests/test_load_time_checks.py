@@ -23,11 +23,11 @@ def graph(*spec, rng=True):
     return lambda tmp: build(list(spec), Rng(0) if rng else None)
 
 
-def idx(images=IMAGES, labels=LABELS, split="train"):
+def idx(images=IMAGES, labels=LABELS):
     def load(tmp):
         (tmp / "img").write_bytes(images)
         (tmp / "lab").write_bytes(labels)
-        return data.load_idx(str(tmp / "img"), str(tmp / "lab"), split=split)
+        return data.load_idx(str(tmp / "img"), str(tmp / "lab"))
     return load
 
 
@@ -131,8 +131,6 @@ CASES = {
         idx(images=struct.pack(">IIII", data.IDX_IMAGES_MAGIC, 0, 2, 2),
             labels=struct.pack(">II", data.IDX_LABELS_MAGIC, 0)),
         data.DataError, "{tmp}/img: no records"),
-    "idx_unknown_split": (
-        idx(split="validation"), data.DataError, "unknown split 'validation'; expected one of ('train', 'test')"),
     "cifar_no_records": (empty_cifar_test_batch, data.DataError, "{tmp}/test_batch.bin: no records"),
     "cifar_unknown_variant": (
         lambda tmp: data.load_cifar(str(tmp), "cifar20"), data.DataError, "unknown CIFAR variant 'cifar20'"),

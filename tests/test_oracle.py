@@ -259,6 +259,16 @@ ALL_KINDS_SPEC = [
 ]
 
 
+# input -> flatten -> dense head, whose input chunks hold 7 pairs at
+# uneven_chunk, or 5 if the flatten's view were counted
+FLATTEN_HEAD_SPEC = [
+    {"kind": "input", "shape": (1, 2, 2)},
+    {"kind": "flatten"},
+    {"kind": "dense", "units": 4, "activation": "tanh"},
+    {"kind": "dense", "units": 3, "activation": "linear"},
+]
+
+
 def stacking_case(name: str):
     """(graph, x, target, entries) for the stacked-vs-reference checks. The
     reduced cnn's reference samples 40 entries per tensor, since a full
@@ -277,6 +287,10 @@ def stacking_case(name: str):
         rng = Rng(33)
         g = build(CONV_POOL_SPEC, rng)
         batch, entries = 2, None
+    elif name == "flatten_head":
+        rng = Rng(38)
+        g = build(FLATTEN_HEAD_SPEC, rng)
+        batch, entries = 4, None
     else:
         rng = Rng(34)
         g = build(models.reduced_spec(models.ModelSpec("cnn")), rng)
@@ -295,7 +309,7 @@ class TestStackedFiniteDiff:
     1e-10."""
 
     @pytest.mark.parametrize("pairs", [0, 7], ids=["smallest_chunk", "uneven_chunk"])
-    @pytest.mark.parametrize("name", ["chain", "skip_dag", "conv_pool", "reduced_cnn"])
+    @pytest.mark.parametrize("name", ["chain", "skip_dag", "conv_pool", "flatten_head", "reduced_cnn"])
     def test_matches_per_perturbation_loop(self, name, pairs, monkeypatch):
         g, x, t, entries = stacking_case(name)
         batch = x.shape[0]
@@ -317,8 +331,9 @@ class TestStackedFiniteDiff:
         heights.clear()
         fd = finite_diff(g, x, t)
         # the input's chunks come last: one-row copies of one sample each,
-        # which run every node
-        in_pairs = max(1, min(chunk_bytes // (2 * 8 * sum(int(np.prod(s)) for s in g.shapes)), x.size))
+        # which run every node and allocate a stack for each but a flatten
+        held = sum(int(np.prod(s)) for s, node in zip(g.shapes, g.nodes) if not isinstance(node, FlattenNode))
+        in_pairs = max(1, min(chunk_bytes // (2 * 8 * held), x.size))
         in_chunks = -(-x.size // in_pairs)
         weights, inputs = heights[:-in_chunks], heights[-in_chunks:]
         if pairs:

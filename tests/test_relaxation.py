@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -385,13 +386,17 @@ class TestClosedForm:
             np.testing.assert_array_equal(run_relaxation(g, acts, t, cfg).x[g.input], x)
         assert ran and not ran & fed_by_input
 
-    @pytest.mark.parametrize("steps,depth,eta", [(499, 4, 0.1), (49, 5, 0.1), (3, 7, 0.5), (1, 1, 1.0), (100, 0, 0.3)])
-    def test_cached_cascade_coefficients_equal_a_fresh_computation(self, steps, depth, eta):
-        fresh = relaxation._cascade_coefficients.__wrapped__(steps, depth, eta)
-        cached = relaxation._cascade_coefficients(steps, depth, eta)
-        assert relaxation._cascade_coefficients(steps, depth, eta) is cached
-        assert isinstance(cached, tuple) and cached == fresh
-        assert len(cached) == min(depth, steps) + 1
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 10, 29, 49, 99, 100, 499])
+    def test_cascade_coefficients_equal_the_step_series(self, steps, eta):
+        # eta c_k as defined, a sum over the steps, against the binomial tail
+        # 1 - (a_0 + ... + a_k) that the code takes
+        for depth in range(8):
+            coeffs = relaxation._cascade_coefficients(steps, depth, eta)
+            assert len(coeffs) == min(depth, steps) + 1
+            for k, (_, ec) in enumerate(coeffs):
+                series = math.fsum(math.comb(t, k) * (1 - eta) ** (t - k) * eta ** (k + 1) for t in range(k, steps))
+                assert abs(ec - series) <= 2.5e-15 and 0.0 <= ec <= 1.0, (depth, k)
 
 
 def linear_chain(n_relaxing: int, weights=None):
