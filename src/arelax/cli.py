@@ -19,9 +19,7 @@ def _print_summary(rows: list[dict]) -> None:
     print(f"{'seed':>4} {'epoch':>5} {'split':>5} {'loss':>12} {'accuracy':>8}")
     for r in rows:
         if r["batch"] == -1:
-            loss = f"{r['loss']:.6f}" if r["loss"] is not None else ""
-            acc = f"{r['accuracy']:.4f}" if r["accuracy"] is not None else ""
-            print(f"{r['seed']:>4} {r['epoch']:>5} {r['split']:>5} {loss:>12} {acc:>8}")
+            print(f"{r['seed']:>4} {r['epoch']:>5} {r['split']:>5} {r['loss']:>12.6f} {r['accuracy']:>8.4f}")
 
 
 def main(argv: list[str] | None = None) -> int:

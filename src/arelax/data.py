@@ -32,8 +32,12 @@ from .tensor import Rng, Tensor
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-
-SPLITS = ("train", "test")
+# each split's image and label files; the split names of every dataset
+_MNIST_FILES = {
+    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
+}
+SPLITS = tuple(_MNIST_FILES)
 
 
 class DataError(ValueError):
@@ -65,8 +69,6 @@ class Dataset:
             raise DataError(
                 f"subset cap must be in [1, {len(self)}], got {cap}"
             )
-        if cap == len(self):
-            return self
         return Dataset(self.images[:cap], self.labels[:cap])
 
 
@@ -115,15 +117,15 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 class _CifarVariant(NamedTuple):
-    label_bytes: int    # opening each record; the last is the label used
+    label_bytes: int              # opening each record; the last is the label used
     classes: int
-    train: list[str]    # batch files
-    test: list[str]
+    files: dict[str, list[str]]   # each split's batch files, keyed as _MNIST_FILES
 
 
 _CIFAR = {
-    "cifar10": _CifarVariant(1, 10, [f"data_batch_{i}.bin" for i in range(1, 6)], ["test_batch.bin"]),
-    "cifar100": _CifarVariant(2, 100, ["train.bin"], ["test.bin"]),
+    "cifar10": _CifarVariant(1, 10, {"train": [f"data_batch_{i}.bin" for i in range(1, 6)],
+                                     "test": ["test_batch.bin"]}),
+    "cifar100": _CifarVariant(2, 100, {"train": ["train.bin"], "test": ["test.bin"]}),
 }
 
 
@@ -132,14 +134,18 @@ def load_cifar(directory: str, variant: str, split: str = "train") -> Dataset:
     variant's row of _CIFAR describes them. Each file is checked (present,
     one or more whole records, labels in range) before the next is read;
     the records of all files are converted to float64 once. The split must
-    be "train" or "test"."""
+    be one of SPLITS."""
     if variant not in _CIFAR:
         raise DataError(f"unknown CIFAR variant {variant!r}")
     _check_split(split)
-    v = _CIFAR[variant]
+    return _read_cifar(directory, _CIFAR[variant], split)
+
+
+def _read_cifar(directory: str, v: _CifarVariant, split: str) -> Dataset:
+    """load_cifar's reading, for a split already checked."""
     record = v.label_bytes + 3 * 32 * 32
     parts = []
-    for fname in v.train if split == "train" else v.test:
+    for fname in v.files[split]:
         path = os.path.join(directory, fname)
         if not os.path.exists(path):
             raise DataError(f"missing CIFAR batch file: {path}")
@@ -189,11 +195,6 @@ def batches(d: Dataset, batch_size: int, rng: Rng) -> Batches:
 # --------------------------------------------------------------------------
 # dataset resolution by name
 
-_MNIST_FILES = {
-    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-}
-
 _SUBDIRS = {
     "mnist": ("mnist", "MNIST", "."),
     "fashion_mnist": ("fashion_mnist", "fashion-mnist", "FashionMNIST", "."),
@@ -219,7 +220,7 @@ def resolve_dir(name: str, root: str) -> str | None:
     for sub in _SUBDIRS[name]:
         d = os.path.normpath(os.path.join(root, sub))
         if name in _CIFAR:
-            if os.path.exists(os.path.join(d, _CIFAR[name].train[0])):
+            if os.path.exists(os.path.join(d, _CIFAR[name].files["train"][0])):
                 return d
         elif _find_idx_file(d, _MNIST_FILES["train"][0]):
             return d
@@ -236,7 +237,7 @@ def load_dataset(name: str, root: str, split: str) -> Dataset:
     if d is None:
         raise DataError(f"dataset {name!r} not found under {root!r}")
     if name in _CIFAR:
-        return load_cifar(d, name, split=split)
+        return _read_cifar(d, _CIFAR[name], split)
     img, lab = (_find_idx_file(d, stem) for stem in _MNIST_FILES[split])
     if img is None or lab is None:
         raise DataError(f"missing IDX files for {name} {split} under {d}")

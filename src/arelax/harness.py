@@ -194,36 +194,34 @@ def accuracy(output: Tensor, target: Tensor) -> float:
     return float(np.mean(np.argmax(output, axis=1) == np.argmax(target, axis=1)))
 
 
+def _cosine(a_parts: list[Tensor], b_parts: list[Tensor]) -> float | None:
+    """Cosine between the concatenations of two lists of flat arrays; None
+    when the product of their norms is zero, as when either is all zero."""
+    a, b = np.concatenate(a_parts), np.concatenate(b_parts)
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    return float(np.dot(a, b) / denom) if denom else None
+
+
 def angle_diagnostics(ar_deltas: dict[int, Tensor], oracle_grads: dict[int, Tensor]) -> float:
     """Angle in degrees between the concatenated parameter deltas and the
     negative oracle gradient; 0 means an exact descent direction."""
     keys = sorted(ar_deltas)
     if keys != sorted(oracle_grads):
         raise ValueError("ar_deltas and oracle_grads cover different nodes")
-    a = np.concatenate([ar_deltas[k].ravel() for k in keys])
-    b = np.concatenate([-oracle_grads[k].ravel() for k in keys])
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    cos = _cosine([ar_deltas[k].ravel() for k in keys], [-oracle_grads[k].ravel() for k in keys])
+    if cos is None:
         raise ValueError("undefined angle: zero-norm vector")
-    cos = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-    return float(np.degrees(np.arccos(cos)))
+    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
 
 
 def psi_alignment(g: Graph, cfg: ARConfig) -> float | None:
     """Cosine between the learned backwards parameters and the transport
     position the forward weights would occupy (W^T for dense, the kernel
     itself for conv); None when no node is in the learned-psi scope."""
-    pairs = []
-    for j in g.parametric_ids():
-        node = g.nodes[j]
-        if relaxation._uses_psi(node, cfg):
-            pairs.append((node.psi.ravel(), node.mirror(node.weight).ravel()))
-    if not pairs:
+    nodes = [g.nodes[j] for j in g.parametric_ids() if relaxation._uses_psi(g.nodes[j], cfg)]
+    if not nodes:
         return None
-    a = np.concatenate([p for p, _ in pairs])
-    b = np.concatenate([m for _, m in pairs])
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    return float(np.dot(a, b) / denom) if denom else None
+    return _cosine([n.psi.ravel() for n in nodes], [n.mirror(n.weight).ravel() for n in nodes])
 
 
 def rel_error(got: Tensor, want: Tensor) -> float:

@@ -190,7 +190,9 @@ class RelaxState:
 def init_state(g: Graph, acts: Sweep, target, cfg: ARConfig) -> RelaxState:
     """Freeze the sweep values and start the relaxing activities at xbar.
     Nothing is recomputed or copied: x starts as the sweep's own arrays,
-    the VJP records come from the sweep, and f' from its outputs."""
+    the VJP records come from the sweep, and f' from its outputs. `cfg` is
+    not read; it stays in the signature because the benchmark's kernel
+    cases (perfbench/kernels.py) pass it."""
     target = tensor.as_tensor(target)
     s = RelaxState(
         xbar=list(acts),

@@ -31,6 +31,7 @@ itself. See README "Known limitations".
 """
 
 import os
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -40,6 +41,7 @@ import pytest
 from arelax.graph import AddNode, DenseNode, build, forward
 from arelax.harness import (
     ExperimentConfig,
+    config_from_file,
     final_test_accuracy,
     node_rel_errors,
     random_case,
@@ -204,16 +206,19 @@ def test_c3_weight_updates_equal_scaled_oracle_gradients(equivalence_suite):
 # criteria 4-6: MNIST training (real data required)
 
 MNIST_SEEDS = [0, 1, 2]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _mnist_proxy_cfg(root, out, seeds=MNIST_SEEDS, **ar_kw):
-    ar = dict(eta_x=0.1, n_iters=50, eta_theta=0.0005)
-    ar.update(ar_kw)
-    return ExperimentConfig(
-        model=ModelSpec("mlp4", 10), dataset="mnist", ar=ARConfig(**ar),
-        epochs=3, seeds=list(seeds), output=out, data_dir=root,
-        batch_size=64, train_cap=10000, test_cap=2000,
-    )
+def _shipped_cfg(name, root, out, seeds, **ar_kw):
+    """configs/<name>.json with only the data root, the output path, the
+    seeds and the variant's ar keys replaced, so a criterion measures the
+    shipped settings."""
+    cfg = config_from_file(str(CONFIGS / f"{name}.json"))
+    return replace(cfg, data_dir=root, output=out, seeds=list(seeds), ar=replace(cfg.ar, **ar_kw))
+
+
+def _mnist_proxy_cfg(root, out, **ar_kw):
+    return _shipped_cfg("mnist_fast_proxy", root, out, MNIST_SEEDS, **ar_kw)
 
 
 @pytest.fixture(scope="module")
@@ -229,12 +234,7 @@ def mnist_proxy_baseline(tmp_path_factory):
 def test_c4_mnist_headline_full_run(tmp_path):
     root = require_real_dataset("mnist")
     out = str(tmp_path / "headline.csv")
-    cfg = ExperimentConfig(
-        model=ModelSpec("mlp4", 10), dataset="mnist",
-        ar=ARConfig(eta_x=0.1, n_iters=100, eta_theta=0.0005),
-        epochs=10, seeds=[0], output=out, data_dir=root, batch_size=64,
-    )
-    run_experiment(cfg)
+    run_experiment(_shipped_cfg("mnist_headline", root, out, [0]))
     acc = final_test_accuracy(read_metrics(out), 0)
     _report("C4 MNIST headline (full data, 10 epochs)",
             acc >= 0.97, f"final test accuracy {acc:.4f}, need >= 0.97")

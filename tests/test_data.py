@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arelax import data
 from arelax.data import (
     DataError,
     Dataset,
@@ -229,6 +230,19 @@ class TestLoadDataset:
     def test_unknown_split(self, synth_data_root, name):
         with pytest.raises(DataError, match=r"^unknown split 'val'; expected one of \('train', 'test'\)$"):
             load_dataset(name, synth_data_root, "val")
+
+    @pytest.mark.parametrize("name", ["mnist", "fashion_mnist", "cifar10", "cifar100"])
+    def test_checks_the_split_once(self, synth_data_root, name, monkeypatch):
+        calls = []
+        check = data._check_split
+        monkeypatch.setattr(data, "_check_split", lambda split: calls.append(split) or check(split))
+        load_dataset(name, synth_data_root, "test")
+        assert calls == ["test"]
+
+    def test_every_dataset_has_the_same_splits(self):
+        assert data.SPLITS == ("train", "test")
+        for v in data._CIFAR.values():
+            assert tuple(v.files) == data.SPLITS
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

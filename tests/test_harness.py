@@ -10,7 +10,7 @@ import pytest
 
 from arelax import cli, harness, models, oracle, relaxation
 from arelax.data import Dataset
-from arelax.graph import build, forward
+from arelax.graph import ConvNode, build, forward
 from arelax.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -25,6 +25,7 @@ from arelax.harness import (
     final_test_accuracy,
     gradcheck,
     node_rel_errors,
+    psi_alignment,
     random_case,
     read_metrics,
     run_experiment,
@@ -35,7 +36,7 @@ from arelax.models import ModelSpec
 from arelax.relaxation import ARConfig
 from arelax.tensor import Rng
 
-from arelax_testkit import make_mnist_dir
+from arelax_testkit import CONV_POOL_SPEC, TWO_CONV_POOL_SPEC, make_mnist_dir
 
 
 # one misspelt key inside each config section
@@ -376,6 +377,43 @@ class TestDiagnostics:
     def test_final_test_accuracy_requires_rows(self):
         with pytest.raises(ValueError):
             final_test_accuracy([], seed=0)
+
+
+def _learned_psi(scope):
+    return ARConfig(backwards_mode="learned_psi", backwards_scope=scope)
+
+
+class TestPsiAlignment:
+    def test_none_without_a_node_in_scope(self):
+        g = build(CONV_POOL_SPEC, Rng(0))
+        assert psi_alignment(g, ARConfig()) is None
+        dense = build([{"kind": "input", "shape": (3,)}, {"kind": "dense", "units": 2}], Rng(0))
+        assert psi_alignment(dense, _learned_psi("conv")) is None
+
+    def test_none_when_every_psi_in_scope_is_zero(self):
+        g = build(CONV_POOL_SPEC, Rng(0))
+        conv = g.nodes[1]
+        conv.psi = np.zeros_like(conv.psi)
+        assert psi_alignment(g, _learned_psi("conv")) is None
+        assert psi_alignment(g, _learned_psi("all")) is not None
+
+    @pytest.mark.parametrize("scope", ["dense", "conv"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_plus_or_minus_one_at_the_mirrored_weight(self, scope, sign):
+        # CONV_POOL_SPEC has one conv node and one dense node
+        g = build(CONV_POOL_SPEC, Rng(1))
+        for j in g.parametric_ids():
+            node = g.nodes[j]
+            node.psi = sign * node.mirror(node.weight)
+        assert abs(psi_alignment(g, _learned_psi(scope)) - sign) <= 1e-15
+
+    def test_conv_scope_is_the_cosine_over_the_conv_nodes(self):
+        g = build(TWO_CONV_POOL_SPEC, Rng(2))
+        convs = [node for node in g.nodes if isinstance(node, ConvNode)]
+        a = np.concatenate([n.psi.ravel() for n in convs])
+        b = np.concatenate([n.mirror(n.weight).ravel() for n in convs])
+        want = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+        assert len(convs) == 2 and psi_alignment(g, _learned_psi("conv")) == want
 
 
 class TestConfig:
