@@ -32,8 +32,9 @@ vjp(cotangent, saved, back=None) returns one cotangent per parent, in
 parent order; dense and conv take the pre-activation cotangent and an
 optional back matrix (mirrored psi) to use in place of W, which the other
 kinds ignore. Dense and conv also have linear(saved, out=None) (the
-pre-activation GEMM on what forward saved, which finite_diff runs alone
-per perturbed weight column and sign), outer (the batch-summed parameter
+pre-activation GEMM on what forward saved; finite_diff runs it alone on a
+weight with one column perturbed, or on a stack of such weights, which
+gives one product per copy), outer (the batch-summed parameter
 gradient), mirror (the psi <-> W layout switch) and gemm_input (what
 forward saves of an input, which the weight update can take of a relaxed
 activity without a forward); they share one forward,
@@ -75,11 +76,12 @@ class _Parametric:
         saved = self.gemm_input(acts[ps[0]])
         return self._activate(self.linear(saved)), saved
 
-    def _activate(self, a: Tensor) -> Tensor:
+    def _activate(self, a: Tensor, in_place: bool = False) -> Tensor:
         # the one finiteness check of a dense or conv forward; it reads the
-        # pre-activation, since tanh maps inf to a finite 1
+        # pre-activation, since tanh maps inf to a finite 1. in_place writes
+        # tanh into a itself (finite_diff's column products).
         tensor.check_finite(a, f"{type(self).__name__} forward")
-        return np.tanh(a) if self.activation == "tanh" else a
+        return np.tanh(a, out=a if in_place else None) if self.activation == "tanh" else a
 
     def fprime(self, out: Tensor) -> Tensor | None:
         """f' at the pre-activation, from the node's output: for tanh,
@@ -93,8 +95,11 @@ class DenseNode(_Parametric):
     """weight (n_out, n_in); psi (n_in, n_out), where W^T transports."""
 
     def linear(self, saved: Tensor, out: Tensor | None = None) -> Tensor:
-        """The pre-activation saved @ W^T, written into out if given."""
-        return np.matmul(saved, self.weight.T, out=out)
+        """The pre-activation saved @ W^T, written into out if given. A
+        weight stack (*S, n_out, n_in) gives one product per weight,
+        (*S, B, n_out), each what its 2-D weight gives."""
+        w = self.weight
+        return np.matmul(saved, w.T if w.ndim == 2 else w.swapaxes(-1, -2), out=out)
 
     @staticmethod
     def gemm_input(x: Tensor) -> Tensor:
@@ -134,7 +139,8 @@ class ConvNode(_Parametric):
 
     def linear(self, saved: Tensor, out: Tensor | None = None) -> Tensor:
         """The (B, C_out, H', W') pre-activation from saved's im2col columns,
-        written into out if given."""
+        written into out if given; a weight stack (*S, C_out, C_in, kH, kW)
+        gives (*S, B, C_out, H', W') (tensor.conv2d_cols)."""
         return tensor.conv2d_cols(saved, self.weight, *self.out_hw, out)
 
     def gemm_input(self, x: Tensor) -> Tensor:

@@ -122,12 +122,17 @@ def conv2d(x, kernels) -> Tensor:
 def conv2d_cols(cols: Tensor, kernels: Tensor, hp: int, wp: int, out: Tensor | None = None) -> Tensor:
     """conv2d's GEMM on im2col columns (B, C_in*kH*kW, hp*wp) of its input:
     one (C_out, K) @ (K, B*hp*wp) product, transposed once into the
-    C-contiguous (B, C_out, hp, wp) output, or into out if given."""
-    co = kernels.shape[0]
-    prod = (kernels.reshape(co, -1) @ col_matrix(cols)).reshape(co, cols.shape[0], hp, wp)
+    C-contiguous (B, C_out, hp, wp) output, or into out if given.
+
+    kernels may be a stack (*S, C_out, C_in, kH, kW): then each kernel set
+    gets that product, the same GEMM as alone, and the output is
+    (*S, B, C_out, hp, wp)."""
+    *lead, co = kernels.shape[:-3]
+    b = cols.shape[0]
+    prod = (kernels.reshape(*lead, co, -1) @ col_matrix(cols)).reshape(*lead, co, b, hp, wp)
     if out is None:
-        out = np.empty((cols.shape[0], co, hp, wp))
-    np.copyto(out, prod.transpose(1, 0, 2, 3))
+        out = np.empty((*lead, b, co, hp, wp))
+    np.copyto(out, prod.swapaxes(-4, -3))
     return out
 
 

@@ -8,8 +8,9 @@ per perturbation.
 
 It also holds one comparator per engine property: run_relaxation against
 relax_step taken T times, relax_step against reference_step, the updates
-of a state against those of a fresh one, and the default read set against
-every node read. The tier-1 tests in test_relaxation.py and the checks in
+of a state against those of a fresh one, the default read set against
+every node read, and finite_diff's column products against a loop of
+2-D GEMMs. The tier-1 tests in test_relaxation.py and the checks in
 test_defects.py both call them, so each comparison is written once. A new
 fast path adds one comparator here, which its tier-1 tests and its defect
 check both call.
@@ -25,6 +26,7 @@ import gzip
 import itertools
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +315,31 @@ def default_read_vs_all(g, acts, t, cfg):
     got = relaxation.run_relaxation(g, acts, t, cfg)
     want = relaxation.run_relaxation(g, acts, t, cfg, read=range(len(g.nodes)))
     return {i: np.inf if got.x[i] is None else rel_error(got.x[i], want.x[i]) for i in sorted(read)}, got, want
+
+
+def column_products_vs_loop(g, x, h=1e-5):
+    """The column products that oracle._column_fill activates, at each
+    parametric node on the sweep of x, against the per-column loop written
+    out: for each weight column k and sign, a copy of the weight in its own
+    memory order with column k at v+h or v-h, and the node's 2-D linear on
+    it. The error per node is the share of product values that differ (0
+    iff array_equal); both products come with it."""
+    acts = forward(g, x)
+    errs, prods = {}, {}
+    for j in g.parametric_ids():
+        node, saved = g.nodes[j], acts.saved[j]
+        w = node.weight
+        got = oracle._column_products(node, saved, acts[j].shape, h)
+        want = np.empty((2, w[0].size, *acts[j].shape))
+        for k, col in enumerate(np.ndindex(w.shape[1:])):
+            col = (slice(None), *col)
+            for sign, step in enumerate((h, -h)):
+                wk = w.copy(order="K")
+                wk[col] = w[col] + step
+                want[sign, k] = replace(node, weight=wk).linear(saved)
+        errs[j] = float(np.mean(got != want)) if got.shape == want.shape else np.inf
+        prods[j] = got, want
+    return errs, prods
 
 
 def reference_step(g, s, cfg):

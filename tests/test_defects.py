@@ -8,8 +8,9 @@ The relaxation-side checks call the engine through the module, so that a
 patched helper is the one they run. Where a check compares the engine with
 itself (run_relaxation against relax_step taken T times, relax_step
 against reference_step, updates against a fresh state's, the default read
-set against every node), it calls the test kit's comparator for that
-property, which the tier-1 tests call too. A new fast path adds one
+set against every node, finite_diff's column products against a loop of
+2-D GEMMs), it calls the test kit's comparator for that property, which
+the tier-1 tests call too. A new fast path adds one
 comparator to the test kit, called by its tier-1 tests and by its check
 here, and one MUTANTS row per seeded defect.
 """
@@ -28,8 +29,8 @@ from arelax.oracle import backprop
 from arelax.relaxation import BACKWARDS_MODES, ARConfig
 from arelax.tensor import Rng
 
-from arelax_testkit import (CONV_POOL_SPEC, SCOPED_CONFIGS, TWO_CONV_POOL_SPEC, default_read_vs_all, run_vs_steps,
-                            spec_case, step_vs_reference, updates_vs_fresh)
+from arelax_testkit import (CONV_POOL_SPEC, SCOPED_CONFIGS, TWO_CONV_POOL_SPEC, column_products_vs_loop,
+                            default_read_vs_all, run_vs_steps, spec_case, step_vs_reference, updates_vs_fresh)
 
 
 def oracle_vs_fd():
@@ -66,6 +67,16 @@ def fd_plan_vs_graph():
         errs[j] = wrong / max(1, len(dependants))
     worst = max(errs, key=errs.get)
     return GradcheckEntry("skip_dag", "fd_plan_vs_graph", errs[worst], 0.0, worst)
+
+
+def fd_products_vs_loop():
+    """finite_diff's column products on the conv/pool graph, whose weights
+    each take one stacked GEMM, against a loop of the node's 2-D GEMM per
+    column and sign. The error is the share of product values that differ."""
+    g, x, _ = spec_case(CONV_POOL_SPEC, 41, 2)
+    errs = column_products_vs_loop(g, x)[0]
+    worst = max(errs, key=errs.get)
+    return GradcheckEntry("conv_pool", "fd_products_vs_loop", errs[worst], 0.0, worst)
 
 
 def relaxation_case():
@@ -238,7 +249,8 @@ def updates_vs_oracle():
     return worst_entry("updates_vs_oracle", errs, 1e-9)
 
 
-CHECKS = {f.__name__: f for f in (oracle_vs_fd, fd_plan_vs_graph, steps_vs_reference, closed_form_vs_steps,
+CHECKS = {f.__name__: f for f in (oracle_vs_fd, fd_plan_vs_graph, fd_products_vs_loop, steps_vs_reference,
+                                  closed_form_vs_steps,
                                   unfrozen_vs_steps, updates_vs_fresh_state, ar_vs_variant_oracle,
                                   tracked_vs_steps, psi_transport_vs_col2im, updates_under_two_settings,
                                   default_read_vs_every_node, updates_vs_oracle)}
@@ -276,32 +288,57 @@ def input_fill_scoring_sample_0(bare):
     return input_fill
 
 
-def column_fill_with(minus, after):
-    """oracle._column_fill written out with column k at weight + minus * h
-    for its -h product and at weight + after * h once both products are
-    taken (the code's minus and after are -1 and 0)."""
-    def column_fill(node, saved, shape, h):
+def column_products_with(minus, after):
+    """oracle._column_products written out as the per-column loop on every
+    weight, with column k at weight + minus * h for its -h product and at
+    weight + after * h once both products are taken (the code's minus and
+    after are -1 and 0)."""
+    def column_products(node, saved, shape, h):
         w = node.weight
-        cols, orig = w[0].size, w.copy()
-        prods = np.empty((cols, 2, *shape))
+        orig = w.copy()
+        prods = np.empty((2, w[0].size, *shape))
         try:
             for k, col in enumerate(np.ndindex(w.shape[1:])):
                 col = (slice(None), *col)
                 for sign, step in enumerate((h, minus * h)):
                     w[col] = orig[col] + step
-                    node.linear(saved, out=prods[k, sign])
+                    node.linear(saved, out=prods[sign, k])
                 w[col] = orig[col] + after * h
         finally:
             w[...] = orig
-        base = node.linear(saved)
+        return prods
+    return column_products
 
-        def fill(out, k0, n):
-            rows, ks = np.divmod(np.arange(k0, k0 + n), cols)
-            out[...] = base
-            out[np.arange(n), :, :, rows] = prods[ks, :, :, rows]
-            return slice(None)
-        return fill
-    return column_fill
+
+def stack_shifted_one_column(bare):
+    """oracle._weight_stack whose copy k of each sign perturbs column k + 1
+    (wrapping round), as an off-by-one column index would give."""
+    return lambda w, h: np.roll(bare(w, h), -1, axis=1)
+
+
+def stack_minus_copies_at_plus(bare):
+    """oracle._weight_stack with its -h copies left at +h."""
+    def weight_stack(w, h):
+        stack = bare(w, h)
+        stack[1] = stack[0]
+        return stack
+    return weight_stack
+
+
+def column_fill_base_unactivated(node, saved, shape, h):
+    """oracle._column_fill written out with the column products activated
+    but the unperturbed pre-activation, which fills every other channel of
+    a copy, left unactivated."""
+    prods = node._activate(oracle._column_products(node, saved, shape, h), in_place=True)
+    base = node.linear(saved)
+    cols = node.weight[0].size
+
+    def fill(out, k0, n):
+        rows, ks = np.divmod(np.arange(k0, k0 + n), cols)
+        out[...] = base
+        out[np.arange(n), :, :, rows] = prods[:, ks, :, rows]
+        return slice(None)
+    return fill
 
 
 def plan_without_last_node(bare):
@@ -470,8 +507,15 @@ MUTANTS = {
     "dense_vjp_x(1+1e-6)": (DenseNode, "vjp", scaled_vjp(DenseNode.vjp, 1 + 1e-6), "oracle_vs_fd"),
     "fd_input_scored_against_sample_0": (oracle, "_input_fill", input_fill_scoring_sample_0(oracle._input_fill),
                                          "oracle_vs_fd"),
-    "fd_minus_product_at_plus": (oracle, "_column_fill", column_fill_with(minus=1, after=0), "oracle_vs_fd"),
-    "fd_column_left_at_plus": (oracle, "_column_fill", column_fill_with(minus=-1, after=1), "oracle_vs_fd"),
+    "fd_minus_product_at_plus": (oracle, "_column_products", column_products_with(minus=1, after=0),
+                                 "oracle_vs_fd"),
+    "fd_column_left_at_plus": (oracle, "_column_products", column_products_with(minus=-1, after=1),
+                               "oracle_vs_fd"),
+    "fd_base_left_unactivated": (oracle, "_column_fill", column_fill_base_unactivated, "oracle_vs_fd"),
+    "fd_stack_copy_perturbs_next_column": (oracle, "_weight_stack", stack_shifted_one_column(oracle._weight_stack),
+                                           "fd_products_vs_loop"),
+    "fd_stack_minus_copy_at_plus": (oracle, "_weight_stack", stack_minus_copies_at_plus(oracle._weight_stack),
+                                    "fd_products_vs_loop"),
     # oracle_vs_fd raises on shape instead of flagging it
     "fd_plan_drops_last_node": (oracle, "_chunk_plan", plan_without_last_node(oracle._chunk_plan),
                                 "fd_plan_vs_graph"),

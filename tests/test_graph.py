@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,6 +321,39 @@ def _conv_outer_cases():
         cases.append((rng.integers(1, 7), rng.integers(1, 5), rng.integers(1, 7), (h, w),
                       (rng.integers(1, h + 1), rng.integers(1, w + 1))))
     return cases
+
+
+class TestLinearOnWeightStack:
+    """DenseNode.linear, ConvNode.linear and tensor.conv2d_cols on a
+    (2, c, *weight.shape) stack of weights give, bit for bit, the loop of
+    their 2-D calls on each weight, with and without out=."""
+
+    @pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("kind", ["dense", "conv", "conv2d_cols"])
+    def test_equals_the_loop_of_2d_calls(self, kind, with_out):
+        rng = Rng(48)
+        g = build(CONV_POOL_SPEC, rng)
+        acts = forward(g, rng.normal((3, *g.shapes[g.input])))
+        j = 4 if kind == "dense" else 1
+        node, saved = g.nodes[j], acts.saved[j]
+        stack = rng.normal((2, 5, *node.weight.shape))
+
+        def call(weight, out=None):
+            if kind == "conv2d_cols":
+                return tensor.conv2d_cols(saved, weight, *node.out_hw, out)
+            return replace(node, weight=weight).linear(saved, out)
+        want = np.empty((2, 5, *acts[j].shape))
+        for s, c in np.ndindex(2, 5):
+            if with_out:
+                call(stack[s, c], want[s, c])
+            else:
+                want[s, c] = call(stack[s, c])
+        if with_out:
+            got = np.empty_like(want)
+            assert call(stack, got) is got
+        else:
+            got = call(stack)
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestConvOuter:

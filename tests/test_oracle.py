@@ -12,9 +12,12 @@ from arelax.tensor import NonFiniteError, Rng, ShapeError
 from arelax_testkit import (
     ADD_FROM_INPUT_SPEC,
     CONV_POOL_SPEC,
+    TWO_CONV_POOL_SPEC,
+    column_products_vs_loop,
     on_every_conv_dag,
     reference_stacked_finite_diff,
     scalar_chain,
+    spec_case,
 )
 
 
@@ -383,21 +386,25 @@ class TestStackedFiniteDiff:
         perturbations = 2 * (x.size + sum(g.nodes[j].weight.size for j in g.parametric_ids()))
         assert 1 <= len(sweeps) <= perturbations // 1000
 
-    @pytest.mark.parametrize("spec,order,raiser,method,nth", [
-        ("skip_dag", "C", 2, "linear", 3), ("skip_dag", "C", 3, "forward", 2), ("skip_dag", "F", 2, "linear", 10),
-        ("conv_pool", "C", 1, "linear", 9), ("conv_pool", "F", 1, "linear", 9),
-    ], ids=["perturbed_node", "downstream_node", "dense_F_mid_loop", "conv_C_mid_loop", "conv_F_mid_loop"])
-    def test_raising_forward_restores_every_weight(self, spec, order, raiser, method, nth, monkeypatch):
-        """Dense node 2's GEMM, which evaluates its perturbed entries, raises
-        on its third call, the first with its own weight perturbed (the
-        forwards of the unperturbed sweep and of the stacked run below node
-        1 call it first); the add node 3's forward on its first call after
-        the sweep. The mid-loop cases raise at the -h product of the fourth
-        column: dense node 2's tenth GEMM call, and the conv node's ninth,
-        since its column products come right after the sweep."""
+    @pytest.mark.parametrize("spec,order,raiser,method,nth,budget", [
+        ("skip_dag", "C", 2, "stacked", 2, None), ("skip_dag", "C", 3, "forward", 2, None),
+        ("skip_dag", "F", 2, "linear", 8, 1), ("conv_pool", "C", 1, "linear", 8, 1),
+        ("conv_pool", "F", 1, "linear", 8, 1), ("conv_pool", "F", 1, "stacked", 1, None),
+    ], ids=["perturbed_node", "downstream_node", "dense_F_mid_loop", "conv_C_mid_loop", "conv_F_mid_loop",
+            "conv_F_stacked"])
+    def test_raising_forward_restores_every_weight(self, spec, order, raiser, method, nth, budget, monkeypatch):
+        """The stacked cases raise in the kind's linear on its nth call on
+        a weight stack, the one that computes node `raiser`'s column
+        products (dense node 1 takes the first); the add node 3's forward
+        raises on its first call after the sweep. The mid-loop cases run
+        under a 1-byte budget, which sends every weight through the column
+        loop, and raise at the -h product of the fourth column: node
+        `raiser`'s eighth GEMM call with out=."""
         rng = Rng(37)
         g = build(skip_dag_spec() if spec == "skip_dag" else CONV_POOL_SPEC, rng)
         x, t = random_case(g, rng, 4)
+        if budget is not None:
+            monkeypatch.setattr(oracle, "FD_CHUNK_BYTES", budget)
         for j in g.parametric_ids():
             g.nodes[j].weight = np.asarray(g.nodes[j].weight, order=order)
         before = {j: g.nodes[j].weight.tobytes() for j in g.parametric_ids()}
@@ -406,20 +413,58 @@ class TestStackedFiniteDiff:
         node = g.nodes[raiser]
         calls = []
 
-        def flaky(*args, bare=getattr(node, method), **kwargs):
-            calls.append(kwargs)
-            if len(calls) == nth:
-                raise NonFiniteError("injected")
-            return bare(*args, **kwargs)
-        monkeypatch.setattr(node, method, flaky)
+        def count(counted):
+            if counted:
+                calls.append(1)
+                if len(calls) == nth:
+                    raise NonFiniteError("injected")
+        if method == "stacked":
+            def stacked(self, saved, out=None, bare=type(node).linear):
+                count(self.weight.ndim > node.weight.ndim)
+                return bare(self, saved, out)
+            monkeypatch.setattr(type(node), "linear", stacked)
+        else:
+            def flaky(*args, bare=getattr(node, method), **kwargs):
+                count(method == "forward" or kwargs.get("out") is not None)
+                return bare(*args, **kwargs)
+            monkeypatch.setattr(node, method, flaky)
         with pytest.raises(NonFiniteError, match="injected"):
             finite_diff(g, x, t)
-        # a GEMM called with out= is one of the column loop's products
-        assert ("out" in calls[-1]) == (method == "linear")
+        assert len(calls) == nth
         for j, b in before.items():
             assert g.nodes[j].weight.tobytes() == b, j
         assert_weights_kept(g, kept)
         assert x.tobytes() == x_before
+
+    @pytest.mark.parametrize("spec", ["skip_dag", "conv_pool"])
+    def test_stacked_weights_are_read_only_to_it(self, spec):
+        """Every weight of these graphs takes one stacked GEMM, which reads
+        the weight alone: read-only weights give the same arrays as
+        writable ones, and stay the same objects and bytes."""
+        rng = Rng(45)
+        g = build(skip_dag_spec() if spec == "skip_dag" else CONV_POOL_SPEC, rng)
+        x, t = random_case(g, rng, 4)
+        want = finite_diff(g, x, t)
+        for j in g.parametric_ids():
+            g.nodes[j].weight.flags.writeable = False
+        kept = weight_record(g)
+        assert_same_gradients(finite_diff(g, x, t), want)
+        assert_weights_kept(g, kept)
+
+    def test_gradcheck_model_takes_both_paths(self):
+        """Reduced mlp4 at gradcheck's batch of 4: its 16 x 784 first layer,
+        whose stack would be 157 MB, goes through the column loop, which
+        writes the weight, and its other layers take the stacked GEMM."""
+        g, x, t = spec_case(models.reduced_spec(models.ModelSpec("mlp4")), 46, 4)
+        first, *rest = g.parametric_ids()
+        for j in rest:
+            g.nodes[j].weight.flags.writeable = False
+        want = finite_diff(g, x, t)
+        g.nodes[first].weight.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            finite_diff(g, x, t)
+        g.nodes[first].weight.flags.writeable = True
+        assert_same_gradients(finite_diff(g, x, t), want)
 
     @pytest.mark.parametrize("name,j,pairs", [("reduced_mlp4", 0, 39), ("conv_pool", 1, 260)],
                              ids=["reduced_mlp4_input", "conv_pool_conv"])
@@ -465,11 +510,12 @@ def assert_same_gradients(got: GradientSet, want: GradientSet) -> None:
 
 
 class TestPerEntryGemm:
-    """finite_diff evaluates a whole weight column per GEMM of node j and
-    activates each chunk's stack once; the reference runs node j's whole
-    forward per perturbed entry, and builds each input copy from its own
-    sample's row. Row o of the weight feeds only channel o, so the
-    arithmetic is the same and the results are bit-identical."""
+    """finite_diff evaluates a whole weight column per GEMM of node j (one
+    GEMM per copy of a weight stack) and activates each column product
+    once; the reference runs node j's whole forward per perturbed entry,
+    and builds each input copy from its own sample's row. Row o of the
+    weight feeds only channel o, so the arithmetic is the same and the
+    results are bit-identical."""
 
     def test_matches_per_entry_forward_on_the_gradcheck_suite(self, monkeypatch):
         calls = []
@@ -519,18 +565,34 @@ class TestPerEntryGemm:
 
     @pytest.mark.parametrize("chunk_bytes", [oracle.FD_CHUNK_BYTES, 1], ids=["default_chunk", "one_pair_chunk"])
     def test_gemm_per_column_activation_per_chunk(self, chunk_bytes, monkeypatch):
-        """Split the calls at each chunk's loss: node j's first chunk calls
-        j's linear (with out=) exactly twice per weight column and once more
-        without, every chunk of j calls j's activation once and j's forward
-        never, each parametric node below j runs once per chunk, and the
-        chunks of j cover each of its entries once, with the whole batch
-        per weight entry's copy and one row per input coordinate's."""
+        """Split the calls at each chunk's loss. Node j's first chunk takes
+        its column products, under the default budget from one linear on a
+        weight stack, under a 1-byte budget from j's linear with out=
+        exactly twice per weight column; then one linear without out= for
+        the unperturbed pre-activation, and j's activation once on each.
+        Later chunks of j call j's linear and activation never, and no
+        chunk calls j's forward. Each parametric node below j runs once per
+        chunk, and the chunks of j cover each of its entries once, with the
+        whole batch per weight entry's copy and one row per input
+        coordinate's."""
         rng = Rng(38)
         g = build(ALL_KINDS_SPEC, rng)
         x, t = random_case(g, rng, 2)
         monkeypatch.setattr(oracle, "FD_CHUNK_BYTES", chunk_bytes)
+        params = g.parametric_ids()
         log = []
-        for j in g.parametric_ids():
+        # a stacked linear runs on a new node object whose weight is the
+        # stack, so its spy sits on the class; a stack's copies have their
+        # node's weight shape, which differs between this graph's nodes
+        of_shape = {g.nodes[j].weight.shape: j for j in params}
+        assert len(of_shape) == len(params)
+        for cls in {type(g.nodes[j]) for j in params}:
+            def stack_spy(self, saved, out=None, _bare=cls.linear):
+                if self.weight.shape not in of_shape:
+                    log.append(("linear_stack", of_shape[self.weight.shape[2:]]))
+                return _bare(self, saved, out)
+            monkeypatch.setattr(cls, "linear", stack_spy)
+        for j in params:
             for name in ("forward", "linear", "_activate"):
                 def spy(*args, _j=j, _name=name, _bare=getattr(g.nodes[j], name), **kwargs):
                     log.append((_name + ("_out" if kwargs.get("out") is not None else ""), _j))
@@ -544,7 +606,6 @@ class TestPerEntryGemm:
         monkeypatch.setattr(oracle, "_stacked_losses", losses)
         finite_diff(g, x, t)
 
-        params = g.parametric_ids()
         sweep = [(name, j) for j in params for name in ("forward", "linear", "_activate")]
         assert log[: len(sweep)] == sweep
         chunks, chunk = [], []
@@ -563,16 +624,46 @@ class TestPerEntryGemm:
                 assert rows == (1 if j == g.input else len(x)), j
                 for i in params:
                     want = [("forward", i), ("linear", i), ("_activate", i)] if i in below else []
-                    if i == j:
-                        first = covered == 0
+                    if i == j and covered == 0:
                         columns = g.nodes[j].weight[0].size
-                        want = [("linear_out", j)] * (2 * columns * first) + [("linear", j)] * first + [("_activate", j)]
+                        products = [("linear_stack", j)] if chunk_bytes > 1 else [("linear_out", j)] * (2 * columns)
+                        want = [*products, ("_activate", j), ("linear", j), ("_activate", j)]
                     assert [e for e in chunk if e[1] == i] == want, (j, i, covered)
                 covered += n
                 if chunk_bytes == 1:
                     assert n == 1
             assert covered == size, j
         assert next(chunks, None) is None
+
+
+class TestColumnProducts:
+    """The column products finite_diff activates, from one stacked GEMM or
+    the in-place column loop, equal a loop of the node's 2-D GEMM on a
+    weight copy per column and sign, bit for bit, in either memory order
+    of the weights."""
+
+    @staticmethod
+    def check(g, x, order):
+        for j in g.parametric_ids():
+            g.nodes[j].weight = np.asarray(g.nodes[j].weight, order=order)
+        kept = weight_record(g)
+        for j, (got, want) in column_products_vs_loop(g, x)[1].items():
+            np.testing.assert_array_equal(got, want, strict=True, err_msg=f"node {j}")
+        assert_weights_kept(g, kept)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_on_every_conv_dag(self, order):
+        on_every_conv_dag(lambda g, x, t: self.check(g, x, order))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("name,batch", [("conv_pool", 2), ("two_conv_pool", 3), ("reduced_mlp4", 4),
+                                            ("reduced_cnn", 2)])
+    def test_on_the_specs_and_reduced_models(self, name, batch, order):
+        spec = {"conv_pool": CONV_POOL_SPEC, "two_conv_pool": TWO_CONV_POOL_SPEC}.get(name)
+        if spec is None:
+            spec = models.reduced_spec(models.ModelSpec(name.split("_")[1]))
+        g, x, _ = spec_case(spec, 47, batch)
+        self.check(g, x, order)
 
 
 def test_oracle_matches_finite_diff_on_random_dags():
